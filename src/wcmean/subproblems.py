@@ -3,8 +3,9 @@
 Two relaxations of the worst case over data balls are computed from the
 loss matrix M(a):
 
-* ``sdp2_value``: n * lambda_max(M), exact for the ball ||x|| <= sqrt(n),
-  via power iteration on the factored M.
+* ``sdp2_value``: n * lambda_max(M), exact for the ball ||x|| <= sqrt(n).
+  The top eigenpair comes from a dense ``eigh`` of the smaller Gram matrix
+  of the factor.
 * ``sdp_inf_solve``: max <M, X> over PSD X with unit diagonal, an upper
   bound within pi/2 of the worst case over the cube |x_j| <= 1.  Solved in
   low-rank factored form X = V^T V by coordinate ascent over the unit-norm
@@ -41,7 +42,7 @@ class SdpConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Approximate top eigenpair: unit vector, its Rayleigh quotient, iterations used."""
+    """Top eigenpair: unit vector, its Rayleigh quotient, iterations used."""
 
     vector: np.ndarray
     rayleigh: float
@@ -61,17 +62,16 @@ class PsdAssignment:
 
 
 def top_eigen(M: LossMatrix, eps: float, rng: np.random.Generator) -> EigenResult:
-    """Block power iteration through the factor; each step is O(mn).
+    """Exact top eigenpair of M = rows^T rows.
 
-    Iterates a 4-column random subspace (QR-orthonormalized each step)
-    and reads off the top Rayleigh-Ritz pair, capping at
-    ceil(40 ln(n+10) / eps) iterations and exiting early once the top
-    Ritz value's relative change over 10 iterations drops below eps/100.
-    A single vector can stall on the second eigenvector when the gap is
-    small and the start is unlucky; the block's Ritz value keeps growing
-    toward lambda_max as long as any column sees the top eigenvector, so
-    the plateau test is safe.  The Ritz value is nondecreasing for PSD
-    matrices, so the last iterate is returned.
+    Takes a dense ``eigh`` of the smaller Gram matrix of the factor: the
+    n x n Gram rows^T rows when n <= m, else the m x m Gram rows rows^T,
+    whose top eigenvector u maps back to v = rows^T u / ||rows^T u||.  The
+    cost is O(m k^2 + k^3) for k = min(m, n).  The returned Rayleigh
+    quotient is ||rows v||^2, computed through the factor, so it is at most
+    lambda_max up to rounding.  ``eps`` is validated but the solve does not
+    depend on it, nothing is drawn from ``rng``, and one iteration is
+    reported.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -82,32 +82,14 @@ def top_eigen(M: LossMatrix, eps: float, rng: np.random.Generator) -> EigenResul
         v = np.zeros(n)
         v[0] = 1.0
         return EigenResult(v, 0.0, 0)
-    block = min(4, n)
-    V = rng.standard_normal((n, block))
-    V, _ = np.linalg.qr(V)
-    cap = math.ceil(40.0 * math.log(n + 10) / eps)
-    rayleighs: list[float] = []
-    used = 0
-    vector = V[:, 0]
-    ray = 0.0
-    for it in range(1, cap + 1):
-        used = it
-        Y = M.rows @ V  # (m, block)
-        small = Y.T @ Y  # V^T M V
-        vals, vecs = np.linalg.eigh(small)
-        ray = float(vals[-1])
-        vector = V @ vecs[:, -1]
-        rayleighs.append(ray)
-        Z = M.rows.T @ Y
-        if not np.any(Z):
-            break  # the whole block landed in the kernel
-        V, _ = np.linalg.qr(Z)
-        if it >= 11:
-            prev = rayleighs[-11]
-            if abs(ray - prev) < (eps / 100.0) * max(ray, 1e-300):
-                break
-    y = M.rows @ vector
-    return EigenResult(vector, float(y @ y), used)
+    rows = M.rows
+    if n <= rows.shape[0]:
+        vector = np.linalg.eigh(M.dense)[1][:, -1]
+    else:
+        vector = rows.T @ np.linalg.eigh(rows @ rows.T)[1][:, -1]
+        vector /= np.linalg.norm(vector)
+    y = rows @ vector
+    return EigenResult(vector, float(y @ y), 1)
 
 
 def sdp2_value(

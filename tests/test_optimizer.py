@@ -9,12 +9,14 @@ from conftest import make_dist, random_dist
 from wcmean.core import (
     L2,
     LINF,
+    SampleTargetDistribution,
     build_loss_matrix,
     estimator_from_dense,
 )
 from wcmean.optimizer import (
     InfeasibleBallError,
     OgdConfig,
+    _run_single,
     ball_geometry,
     loss_gradient,
     loss_value,
@@ -28,7 +30,7 @@ from wcmean.optimizer import (
     uniform_init,
     write_trace_csv,
 )
-from wcmean.subproblems import sdp_inf_solve
+from wcmean.subproblems import sdp_inf_solve, top_eigen
 
 TOL = 1e-9
 FD_TOL = 1e-5
@@ -207,6 +209,47 @@ def test_ogd_step_fixed_point_at_target():
 
 
 # ── runs and doubling ────────────────────────────────────────────────
+
+
+def subproblem(regime, M, eps, rng):
+    """The OGD loop's subproblem: (f_t, X_t) for the regime."""
+    if regime == LINF:
+        assignment = sdp_inf_solve(M, eps, rng)
+        return assignment.objective, assignment
+    eig = top_eigen(M, eps, rng)
+    return M.dim * eig.rayleigh, math.sqrt(M.dim) * eig.vector
+
+
+@pytest.mark.parametrize("regime", [L2, LINF])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_run_single_matches_public_step(regime, weighted):
+    # the loop's in-place step against ogd_step on estimator objects, bit
+    # for bit, at a radius where the projection binds
+    dist = random_dist(np.random.default_rng(21), 6, 5)
+    if weighted:
+        dist = SampleTargetDistribution(dist.n, dist.pairs, (0.3, 0.1, 0.2, 0.25, 0.15))
+    cfg = OgdConfig(regime=regime, eps=0.05, t_max=4, seed=3)
+    p = 0.15
+    best_a, trace = _run_single(dist, cfg, p, run_index=1)
+    assert np.any(trace.lam < 1.0)
+
+    rng = np.random.default_rng((cfg.seed, 1))
+    geom = ball_geometry(dist, radius_for(regime, dist.m, p))
+    est = estimator_from_dense(dist, uniform_init(dist))
+    iterates, states = [], []
+    for t in range(1, cfg.t_max + 1):
+        iterates.append(est)
+        states.append(rng.bit_generator.state)
+        f_t, X = subproblem(regime, build_loss_matrix(est, dist), cfg.eps, rng)
+        assert trace.f_t[t - 1] == f_t, t
+        est = ogd_step(est, X, t, geom, dist)
+
+    # the returned iterate is the one at best_t, held apart from the loop's buffers
+    np.testing.assert_array_equal(best_a, iterates[trace.best_t - 1].dense())
+    replay = np.random.default_rng()
+    replay.bit_generator.state = states[trace.best_t - 1]
+    M = build_loss_matrix(estimator_from_dense(dist, best_a), dist)
+    assert subproblem(regime, M, cfg.eps, replay)[0] == trace.best_value
 
 
 def test_minimize_wrong_regime_rejected():

@@ -65,6 +65,40 @@ def test_top_eigen_matches_dense_oracle():
         assert lam <= res.rayleigh * (1 + EPS / 10) + TOL, (trial, lam, res.rayleigh)
 
 
+def factor_with_singular_values(rng, m, n, s):
+    """(m, n) factor U diag(s) V^T, so that M = rows^T rows has eigenvalues s^2."""
+    U = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return (U * s) @ V.T
+
+
+@pytest.mark.parametrize(
+    "m, n, s",
+    [
+        (9, 5, None),  # n <= m: eigh of the n x n Gram
+        (5, 9, None),  # m < n: eigh of the m x m Gram, mapped back
+        (40, 40, None),
+        (300, 260, None),
+        (1, 7, None),  # rank one
+        (6, 4, [2.0, 2.0, 1.0, 0.5]),  # repeated top eigenvalue, n <= m
+        (3, 8, [1.5, 1.5, 0.3]),  # repeated top eigenvalue, m < n
+    ],
+)
+def test_top_eigen_exact(m, n, s):
+    rng = np.random.default_rng(m * 100 + n)
+    if s is None:
+        rows = rng.standard_normal((m, n))
+    else:
+        rows = factor_with_singular_values(rng, m, n, np.array(s))
+    M = LossMatrix(n, rows)
+    res = top_eigen(M, EPS, rng)
+    lam = dense_lambda_max(M.dense)
+    assert res.iterations == 1
+    assert res.rayleigh == pytest.approx(lam, rel=1e-10)
+    assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(M.matvec(res.vector), lam * res.vector, atol=1e-10 * lam)
+
+
 def test_top_eigen_rejects_bad_eps():
     M = LossMatrix(2, np.zeros((1, 2)))
     with pytest.raises(ValueError):
