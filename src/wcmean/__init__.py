@@ -11,7 +11,7 @@ from .baselines import (
     selective_prediction_estimator,
     subgroup_estimator,
 )
-from .collectors import gen_importance, gen_selective, gen_snowball, load_distribution
+from .collectors import gen_importance, gen_selective, gen_snowball
 from .core import (
     L2,
     LINF,
@@ -24,13 +24,11 @@ from .core import (
     SupportError,
     build_loss_matrix,
     estimator_from_dense,
-    evaluate_pointwise,
     fixed_data_error,
     load_distribution_file,
     load_estimator_file,
     save_distribution_file,
     save_estimator_file,
-    target_vector,
     validate_estimator,
 )
 from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
@@ -50,8 +48,6 @@ from .optimizer import (
     ball_geometry,
     loss_gradient,
     loss_value,
-    minimize_sdp2,
-    minimize_sdp_inf,
     ogd_step,
     project_to_ball,
     radius_for,

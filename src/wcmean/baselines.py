@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampleTargetDistribution, SemilinearEstimator
+from .core import SampleTargetDistribution, SemilinearEstimator, estimator_from_dense
+from .optimizer import uniform_init
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,7 @@ def subgroup_estimator(
 
 def sample_mean_estimator(dist: SampleTargetDistribution) -> SemilinearEstimator:
     """Weight 1/|sample| on each sampled index; zero vector for empty samples."""
-    weights = tuple(
-        {j: 1.0 / len(pair.sample) for j in pair.sample} if pair.sample else {}
-        for pair in dist.pairs
-    )
-    return SemilinearEstimator(dist.n, weights)
+    return estimator_from_dense(dist, uniform_init(dist))
 
 
 def selective_prediction_estimator(

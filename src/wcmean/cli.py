@@ -30,7 +30,7 @@ from .core import (
     L2,
     LINF,
     SchemaError,
-    build_loss_matrix,
+    _load_json,
     fixed_data_error,
     load_distribution_file,
     load_estimator_file,
@@ -40,9 +40,11 @@ from .core import (
 from .experiments import (
     EXPERIMENTS,
     average_results,
+    map_cells,
     run_experiment,
     spatial_values,
     synthetic_values,
+    worst_case_cell,
     write_experiment_csv,
 )
 from .lowerbound import (
@@ -59,7 +61,7 @@ from .optimizer import (
     trace_summary,
     write_trace_csv,
 )
-from .subproblems import SdpConvergenceError, sdp2_value, sdp_inf_solve
+from .subproblems import SdpConvergenceError
 
 
 def _fail(code: int, message: str) -> None:
@@ -228,10 +230,7 @@ def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStruc
     candidate = meta_path if meta_path is not None else _meta_path(dist_path)
     if not candidate.exists():
         return None
-    try:
-        meta = json.loads(candidate.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError("malformed_json", f"{candidate}: {exc}")
+    meta = _load_json(candidate)
     if not isinstance(meta, dict) or "groups" not in meta or "inclusion_prob" not in meta:
         return None
     return GroupStructure(
@@ -241,10 +240,7 @@ def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStruc
 
 
 def _load_points(path: Path) -> np.ndarray:
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError("malformed_json", f"{path}: {exc}")
+    data = _load_json(path)
     if isinstance(data, dict):
         if "points" not in data:
             raise SchemaError("bad_schema", f'{path}: no "points" key')
@@ -264,10 +260,7 @@ def _dataset_vector(spec: str, n: int) -> np.ndarray | None:
         return vals
     if spec.startswith("file:"):
         path = Path(spec.split(":", 1)[1])
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError("malformed_json", f"{path}: {exc}")
+        data = _load_json(path)
         if isinstance(data, dict):
             data = data.get("x")
         vals = np.asarray(data, dtype=float)
@@ -311,19 +304,11 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
         if vec is not None:
             return fixed_data_error(est, dist, vec)
         rng = np.random.default_rng((seed, e_idx, list(dataset_specs).index(spec)))
-        if spec == "worst-linf":
-            return sdp_inf_solve(build_loss_matrix(est, dist), eps, rng).objective
-        return sdp2_value(est, dist, eps, rng)[0]
+        # spec "worst-linf" / "worst-l2" is the table row "worst_linf" / "worst_l2"
+        return worst_case_cell(est, dist, spec.replace("-", "_"), eps, rng)
 
     keys = [(i, spec) for i in range(len(named)) for spec in dataset_specs]
-    threads = _threads()
-    if threads == 1:
-        values = [cell(i, spec) for i, spec in keys]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda key: cell(*key), keys))
+    values = map_cells(cell, keys, _threads())
     lines = ["estimator,dataset,error"]
     for (i, spec), value in zip(keys, values):
         lines.append(f"{named[i][0]},{spec},{value:.6f}")

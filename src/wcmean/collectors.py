@@ -8,11 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import GroupStructure
-from .core import (
-    IndexPair,
-    SampleTargetDistribution,
-    load_distribution_file,
-)
+from .core import IndexPair, SampleTargetDistribution
 
 
 def gen_importance(
@@ -229,7 +225,3 @@ def gen_selective(
             probs.append(1.0 / (len(windows) * len(prefixes)))
     return SampleTargetDistribution(n, tuple(pairs), tuple(probs))
 
-
-def load_distribution(path) -> SampleTargetDistribution:
-    """Read a distribution JSON file (schema errors carry distinct codes)."""
-    return load_distribution_file(path)

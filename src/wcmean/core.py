@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -244,13 +243,6 @@ class LossMatrix:
         return float(y @ y)
 
 
-def target_vector(dist: SampleTargetDistribution, i: int) -> dict[int, float]:
-    """Sparse target-averaging vector b_i: 1/|target| on the target set."""
-    pair = dist.pairs[i]
-    share = 1.0 / len(pair.target)
-    return {j: share for j in pair.target}
-
-
 def validate_estimator(est: SemilinearEstimator, dist: SampleTargetDistribution) -> None:
     """Check n/m consistency and that every weight lies in its sample set."""
     if est.n != dist.n:
@@ -287,18 +279,6 @@ def fixed_data_error(
     return build_loss_matrix(est, dist).quad(vals)
 
 
-def evaluate_pointwise(
-    est: SemilinearEstimator, i: int, observed: Mapping[int, float]
-) -> float:
-    """Estimate for pair i given observed values keyed by population index."""
-    total = 0.0
-    for j, weight in est.weights[i].items():
-        if j not in observed:
-            raise ValueError(f"missing observation for supported index {j} in pair {i}")
-        total += weight * observed[j]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # JSON formats.  Distribution files: {"n": int, "pairs": [{"A": [...], "B": [...]}]},
 # each pair optionally carrying its probability "p" (all pairs or none).
@@ -306,7 +286,7 @@ def evaluate_pointwise(
 # ---------------------------------------------------------------------------
 
 
-def _check_index_list(raw, code_prefix: str, n: int, where: str) -> tuple[int, ...]:
+def _check_index_list(raw, n: int, where: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not all(isinstance(j, int) and not isinstance(j, bool) for j in raw):
         raise SchemaError("bad_schema", f"{where}: expected a list of integers")
     for j in raw:
@@ -334,8 +314,8 @@ def distribution_from_dict(data) -> SampleTargetDistribution:
     for i, entry in enumerate(raw_pairs):
         if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
             raise SchemaError("bad_schema", f'pair {i}: expected keys "A" and "B"')
-        sample = _check_index_list(entry["A"], "A", n, f'pair {i} "A"')
-        target = _check_index_list(entry["B"], "B", n, f'pair {i} "B"')
+        sample = _check_index_list(entry["A"], n, f'pair {i} "A"')
+        target = _check_index_list(entry["B"], n, f'pair {i} "B"')
         if not target:
             raise SchemaError("empty_target", f'pair {i}: "B" must be nonempty')
         pairs.append(IndexPair(sample, target))

@@ -12,6 +12,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,6 +104,14 @@ def worst_case_cell(
     raise ValueError(f"unknown worst-case row {row!r}")
 
 
+def map_cells(fill: Callable[..., float], keys: list[tuple], threads: int) -> list[float]:
+    """fill(*key) for every key, in key order; on a thread pool when threads > 1."""
+    if threads == 1:
+        return [fill(*key) for key in keys]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda key: fill(*key), keys))
+
+
 def run_experiment(
     name: str,
     seed: int = 0,
@@ -192,11 +201,7 @@ def run_experiment(
             return exc.assignment.objective
 
     cell_keys = [(row, col) for row in rows for col in columns]
-    if threads == 1:
-        values = [fill_cell(row, col) for row, col in cell_keys]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda rc: fill_cell(*rc), cell_keys))
+    values = map_cells(fill_cell, cell_keys, threads)
     cells: dict[str, dict[str, float]] = {row: {} for row in rows}
     for (row, col), value in zip(cell_keys, values):
         cells[row][col] = float(value)

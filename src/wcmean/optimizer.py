@@ -21,6 +21,9 @@ multiset that repeats each pair in proportion to pi_i.  Iterates are
 projected back radially, and the best iterate by observed objective is
 returned.  An outer doubling scheme grows the radius parameter p until the
 achieved objective is at most p.
+
+The l2 subproblem is solved exactly; eps sets only the stopping rule of the
+linf SDP solver (and the trace's theoretical iteration count).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +67,10 @@ class OgdConfig:
     """Knobs for one optimization run and the outer doubling scheme.
 
     p_init defaults to 1/n and p_doublings_max to ceil(log2 n) + 2 when
-    left as None.  eps is the subproblem accuracy target passed through to
-    the solvers (they aim for a (1 + eps/10) factor).
+    left as None; p_doublings_max = 0 makes one run at radius parameter
+    p_init.  eps sets the stopping rule of the linf SDP solver and the
+    trace's theoretical iteration count; the l2 subproblem is solved
+    exactly and does not depend on it.
     """
 
     regime: str
@@ -113,8 +118,9 @@ class OgdTrace:
 
     The regret bound reported is 3 G D / (2 sqrt(T)) for gradient bound
     G = 2 n r / m and diameter D = 2 r, both measured in the ball's
-    probability-weighted norm; the subproblem solvers are
-    heuristic, so the bound is an assumption-tagged diagnostic, not a
+    probability-weighted norm.  The l2 subproblem is exact, but the linf SDP
+    solver stops on a per-sweep gain rule that does not bound its distance
+    to the optimum, so the bound is an assumption-tagged diagnostic, not a
     certificate (see notes).
     """
 
@@ -203,23 +209,51 @@ def uniform_init(dist: SampleTargetDistribution) -> np.ndarray:
     return masks / counts
 
 
+def _apply_X(resid: np.ndarray, X, out: np.ndarray | None = None) -> np.ndarray:
+    """resid @ X for X a PsdAssignment (X = factor^T factor), a vector x
+    (meaning x x^T), or a dense (n, n) array.  Written into ``out`` when
+    given, else into a new array."""
+    if isinstance(X, PsdAssignment):
+        return np.matmul(resid @ X.factor.T, X.factor, out=out)
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        return np.outer(resid @ X, X, out=out)
+    return np.matmul(resid, X, out=out)
+
+
 def _gradient_dense(
     resid: np.ndarray, X, masks: np.ndarray, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(2/m) proj_W X (a_i - b_i) per pair: the gradient of <M(a), X> in the
     ball's weighted metric (the plain gradient divided by w_i = m pi_i).
-    X may be a PsdAssignment, a vector x (meaning x x^T), or a dense (n, n)
-    array.  Written into ``out`` when given, else into a new array."""
-    if isinstance(X, PsdAssignment):
-        G = np.matmul(resid @ X.factor.T, X.factor, out=out)
-    else:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            G = np.outer(resid @ X, X, out=out)
-        else:
-            G = np.matmul(resid, X, out=out)
+    X is as for ``_apply_X``; written into ``out`` when given."""
+    G = _apply_X(resid, X, out=out)
     np.multiply(G, masks, out=G)
     return np.multiply(2.0 / m, G, out=G)
+
+
+def _step_in_place(
+    a: np.ndarray,
+    resid: np.ndarray,
+    b: np.ndarray,
+    X,
+    t: int,
+    geom: BallGeometry,
+    grad: np.ndarray,
+    work: np.ndarray,
+) -> tuple[float, float]:
+    """One OGD step, in place: a <- project(a - eta_t grad) and resid <- a - b.
+
+    ``resid`` must hold a - b on entry; ``grad`` and ``work`` are (m, n)
+    scratch buffers.  Returns (eta_t, projection lambda).
+    """
+    m, n = a.shape
+    eta = m / (n * math.sqrt(t))
+    _gradient_dense(resid, X, geom.masks, m, out=grad)
+    np.subtract(a, np.multiply(eta, grad, out=grad), out=a)
+    _, lam = _project_dense(a, geom, (grad, work))
+    np.subtract(a, b, out=resid)
+    return eta, lam
 
 
 def loss_value(est: SemilinearEstimator, X, dist: SampleTargetDistribution) -> float:
@@ -227,11 +261,7 @@ def loss_value(est: SemilinearEstimator, X, dist: SampleTargetDistribution) -> f
     subproblem solution X."""
     validate_estimator(est, dist)
     resid = est.dense() - dist.target_rows
-    if isinstance(X, PsdAssignment):
-        Y = (resid @ X.factor.T) @ X.factor
-    else:
-        X = np.asarray(X, dtype=float)
-        Y = np.outer(resid @ X, X) if X.ndim == 1 else resid @ X
+    Y = _apply_X(resid, X)
     return float(np.sum(dist.pair_weights[:, None] * resid * Y)) / dist.m
 
 
@@ -250,15 +280,14 @@ def ogd_step(
     dist: SampleTargetDistribution,
 ) -> SemilinearEstimator:
     """One descent step a - eta_t grad in the ball's weighted metric,
-    followed by the ball projection."""
+    followed by the ball projection: the step the OGD loop takes."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
     validate_estimator(est, dist)
-    eta = dist.m / (dist.n * math.sqrt(t))
-    arr = est.dense()
-    arr = arr - eta * _gradient_dense(arr - dist.target_rows, X, dist.sample_mask, dist.m)
-    projected, _ = _project_dense(arr, geom)
-    return estimator_from_dense(dist, projected)
+    a = est.dense()
+    b = dist.target_rows
+    _step_in_place(a, a - b, b, X, t, geom, np.empty_like(a), np.empty_like(a))
+    return estimator_from_dense(dist, a)
 
 
 def _run_single(
@@ -272,7 +301,6 @@ def _run_single(
         raise InfeasibleBallError(r, geom.beta)
     rng = np.random.default_rng((cfg.seed, run_index))
     b = dist.target_rows
-    masks = geom.masks
     a = uniform_init(dist)
     resid = a - b
     # the step runs in place in a, resid and these two buffers: fresh (m, n)
@@ -309,11 +337,7 @@ def _run_single(
             best_value = f_t
             best_a = a.copy()
             best_t = t
-        eta = m / (n * math.sqrt(t))
-        _gradient_dense(resid, X, masks, m, out=grad)
-        np.subtract(a, np.multiply(eta, grad, out=grad), out=a)
-        _, lam = _project_dense(a, geom, (grad, work))
-        np.subtract(a, b, out=resid)
+        eta, lam = _step_in_place(a, resid, b, X, t, geom, grad, work)
         eta_arr[t - 1] = eta
         f_arr[t - 1] = f_t
         lam_arr[t - 1] = lam
@@ -343,42 +367,17 @@ def _run_single(
     return best_a, trace
 
 
-def minimize_sdp2(
-    dist: SampleTargetDistribution, cfg: OgdConfig, p: float | None = None
-) -> tuple[SemilinearEstimator, OgdTrace]:
-    """One OGD run against the l2 worst case at radius parameter p (default p_init)."""
-    if cfg.regime != L2:
-        raise ValueError(f"config regime is {cfg.regime!r}, expected {L2!r}")
-    if p is None:
-        p = cfg.p_init if cfg.p_init is not None else 1.0 / dist.n
-    best_a, trace = _run_single(dist, cfg, p, run_index=0)
-    return estimator_from_dense(dist, best_a), trace
-
-
-def minimize_sdp_inf(
-    dist: SampleTargetDistribution, cfg: OgdConfig, p: float | None = None
-) -> tuple[SemilinearEstimator, OgdTrace]:
-    """One OGD run against the unit-diagonal SDP value at radius parameter p."""
-    if cfg.regime != LINF:
-        raise ValueError(f"config regime is {cfg.regime!r}, expected {LINF!r}")
-    if p is None:
-        p = cfg.p_init if cfg.p_init is not None else 1.0 / dist.n
-    best_a, trace = _run_single(dist, cfg, p, run_index=0)
-    return estimator_from_dense(dist, best_a), trace
-
-
 def run_with_doubling(
-    dist: SampleTargetDistribution, cfg: OgdConfig, regime: str | None = None
+    dist: SampleTargetDistribution, cfg: OgdConfig
 ) -> tuple[SemilinearEstimator, OgdTrace, float]:
     """Grow p geometrically until the best objective is at most p.
 
     Runs are independent (fresh initialization and rng per p).  Infeasible
     radii (r^2 < beta) are skipped by doubling.  If the doubling cap is
     exhausted the best run seen is returned with a diagnostic note; if every
-    radius was infeasible, the last infeasibility error is raised.
+    radius was infeasible, the last infeasibility error is raised.  With
+    ``p_doublings_max=0`` this is one run at ``p_init``.
     """
-    if regime is not None and regime != cfg.regime:
-        cfg = replace(cfg, regime=regime)
     n = dist.n
     p = cfg.p_init if cfg.p_init is not None else 1.0 / n
     cap = (

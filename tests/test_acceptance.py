@@ -35,8 +35,6 @@ from wcmean.optimizer import (
     ball_geometry,
     loss_gradient,
     loss_value,
-    minimize_sdp2,
-    minimize_sdp_inf,
     project_to_ball,
     run_with_doubling,
 )
@@ -411,8 +409,12 @@ def test_zero_optimum_at_first_iteration():
         s = [j for j in range(10) if rng.random() < 0.5] or [int(rng.integers(10))]
         pairs.append((s, s))
     dist = make_dist(10, pairs)
-    _, tr_l2 = minimize_sdp2(dist, OgdConfig(regime=L2, eps=0.01, t_max=3))
-    _, tr_linf = minimize_sdp_inf(dist, OgdConfig(regime=LINF, eps=0.01, t_max=3))
+    _, tr_l2, _ = run_with_doubling(
+        dist, OgdConfig(regime=L2, eps=0.01, t_max=3, p_doublings_max=0)
+    )
+    _, tr_linf, _ = run_with_doubling(
+        dist, OgdConfig(regime=LINF, eps=0.01, t_max=3, p_doublings_max=0)
+    )
     ok = (
         tr_l2.best_value <= 1e-9
         and tr_linf.best_value <= 1e-9
@@ -431,11 +433,12 @@ def test_zero_optimum_at_first_iteration():
 
 
 def test_iteration_time_scales_with_pair_count():
-    cfg = OgdConfig(regime=L2, eps=0.01, t_max=80, seed=0)
+    # one run at p = 1/n, no doubling
+    cfg = OgdConfig(regime=L2, eps=0.01, t_max=80, seed=0, p_doublings_max=0)
     dist_half, _ = gen_importance(m=1000, seed=0)
     dist_full, _ = gen_importance(m=2000, seed=0)
-    _, tr_half = minimize_sdp2(dist_half, cfg)
-    _, tr_full = minimize_sdp2(dist_full, cfg)
+    _, tr_half, _ = run_with_doubling(dist_half, cfg)
+    _, tr_full, _ = run_with_doubling(dist_full, cfg)
     ms_half = median(tr_half.elapsed_ms)
     ms_full = median(tr_full.elapsed_ms)
     ratio = ms_full / ms_half

@@ -246,6 +246,25 @@ def test_evaluate_malformed_dist_is_schema_error(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--dataset", "file:{tmp}/missing.json"),
+        ("--dataset", "spatial:{tmp}/nope.json"),
+        ("--metadata", "{tmp}"),  # a directory
+    ],
+)
+def test_evaluate_unreadable_input_is_schema_error(runner, tmp_path, flag, value):
+    dist = gen(runner, tmp_path, "importance")
+    args = ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
+            "--out", str(tmp_path / "r.csv"), flag, value.format(tmp=tmp_path)]
+    if flag != "--dataset":
+        args += ["--dataset", "constant"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "[unreadable]" in result.output
+
+
 def test_evaluate_thread_env_validation(runner, tmp_path):
     dist = gen(runner, tmp_path, "importance")
     result = runner.invoke(

@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from wcmean.collectors import (
-    gen_importance,
-    gen_selective,
-    gen_snowball,
-    load_distribution,
+from wcmean.collectors import gen_importance, gen_selective, gen_snowball
+from wcmean.core import (
+    SchemaError,
+    distribution_to_dict,
+    load_distribution_file,
+    save_distribution_file,
 )
-from wcmean.core import SchemaError, distribution_to_dict, save_distribution_file
 
 SIGMA = 3.0
 
@@ -204,11 +204,11 @@ def test_load_distribution_round_trip(tmp_path):
     dist, _ = gen_importance(m=5, seed=2)
     path = tmp_path / "d.json"
     save_distribution_file(dist, path)
-    assert load_distribution(path).pairs == dist.pairs
+    assert load_distribution_file(path).pairs == dist.pairs
 
 
 def test_load_distribution_schema_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "pairs": [{"A": [0], "B": []}]}')
     with pytest.raises(SchemaError):
-        load_distribution(path)
+        load_distribution_file(path)

@@ -15,15 +15,14 @@ from wcmean.core import (
     build_loss_matrix,
     distribution_from_dict,
     estimator_from_dense,
-    evaluate_pointwise,
     fixed_data_error,
     load_distribution_file,
     load_estimator_file,
     save_distribution_file,
     save_estimator_file,
-    target_vector,
     validate_estimator,
 )
+from wcmean.lowerbound import semilinear_callable
 
 TOL = 1e-12
 
@@ -62,11 +61,6 @@ def test_dist_canonicalizes_duplicates_and_order():
 def test_empty_sample_is_allowed():
     dist = make_dist(2, [([], [0, 1])])
     assert dist.pairs[0].sample == ()
-
-
-def test_target_vector():
-    dist = make_dist(4, [([0], [1, 3])])
-    assert target_vector(dist, 0) == {1: 0.5, 3: 0.5}
 
 
 # ── estimator support invariant ──────────────────────────────────────
@@ -146,8 +140,11 @@ def test_fixed_data_error_equals_quadratic_form():
 def test_evaluate_pointwise():
     dist = make_dist(3, [([0, 2], [1])])
     est = SemilinearEstimator(3, ({0: 0.25, 2: 0.75},))
-    value = evaluate_pointwise(est, 0, {0: 2.0, 2: 4.0})
+    # observed values are aligned with the sorted sample set
+    value = semilinear_callable(est, dist)(0, np.array([2.0, 4.0]))
     assert abs(value - (0.25 * 2.0 + 0.75 * 4.0)) < TOL
+    with pytest.raises(ValueError):
+        semilinear_callable(est, dist)(0, np.array([2.0]))
 
 
 # ── serialization ────────────────────────────────────────────────────

@@ -20,8 +20,6 @@ from wcmean.optimizer import (
     ball_geometry,
     loss_gradient,
     loss_value,
-    minimize_sdp2,
-    minimize_sdp_inf,
     ogd_step,
     project_to_ball,
     radius_for,
@@ -252,14 +250,6 @@ def test_run_single_matches_public_step(regime, weighted):
     assert subproblem(regime, M, cfg.eps, replay)[0] == trace.best_value
 
 
-def test_minimize_wrong_regime_rejected():
-    dist = make_dist(2, [([0, 1], [0, 1])])
-    with pytest.raises(ValueError):
-        minimize_sdp2(dist, OgdConfig(regime=LINF))
-    with pytest.raises(ValueError):
-        minimize_sdp_inf(dist, OgdConfig(regime=L2))
-
-
 def test_zero_optimum_at_iteration_one():
     # sample = target: uniform init is already exact, both regimes
     rng = np.random.default_rng(26)
@@ -268,8 +258,10 @@ def test_zero_optimum_at_iteration_one():
         s = sorted(rng.choice(8, size=int(rng.integers(1, 8)), replace=False))
         pairs.append((list(s), list(s)))
     dist = make_dist(8, pairs)
-    for fn, regime in ((minimize_sdp2, L2), (minimize_sdp_inf, LINF)):
-        est, trace = fn(dist, OgdConfig(regime=regime, t_max=3))
+    for regime in (L2, LINF):
+        est, trace, _ = run_with_doubling(
+            dist, OgdConfig(regime=regime, t_max=3, p_doublings_max=0)
+        )
         assert trace.best_value <= 1e-9
         assert trace.best_t == 1
         assert abs(trace.f_t[0]) <= 1e-9
@@ -278,9 +270,9 @@ def test_zero_optimum_at_iteration_one():
 def test_ogd_trace_is_deterministic():
     rng = np.random.default_rng(27)
     dist = random_dist(rng, 6, 10, full_targets=True)
-    cfg = OgdConfig(regime=L2, t_max=20, seed=3)
-    _, t1 = minimize_sdp2(dist, cfg)
-    _, t2 = minimize_sdp2(dist, cfg)
+    cfg = OgdConfig(regime=L2, t_max=20, seed=3, p_doublings_max=0)
+    _, t1, _ = run_with_doubling(dist, cfg)
+    _, t2, _ = run_with_doubling(dist, cfg)
     np.testing.assert_array_equal(t1.f_t, t2.f_t)
     np.testing.assert_array_equal(t1.lam, t2.lam)
 
@@ -296,18 +288,10 @@ def test_doubling_accepts_when_value_below_p():
     assert value <= trace.best_value * (1 + 0.01) + 1e-6
 
 
-def test_doubling_respects_regime_override():
-    rng = np.random.default_rng(29)
-    dist = random_dist(rng, 5, 8, full_targets=True)
-    cfg = OgdConfig(regime=L2, t_max=15, seed=0)
-    est, trace, p_final = run_with_doubling(dist, cfg, regime=LINF)
-    assert trace.regime == LINF
-
-
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(30)
     dist = random_dist(rng, 5, 8, full_targets=True)
-    _, trace = minimize_sdp2(dist, OgdConfig(regime=L2, t_max=10))
+    _, trace, _ = run_with_doubling(dist, OgdConfig(regime=L2, t_max=10, p_doublings_max=0))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()
@@ -319,7 +303,7 @@ def test_trace_csv_round_trip(tmp_path):
 def test_trace_summary_fields():
     rng = np.random.default_rng(31)
     dist = random_dist(rng, 5, 8, full_targets=True)
-    _, trace = minimize_sdp2(dist, OgdConfig(regime=L2, t_max=10))
+    _, trace, _ = run_with_doubling(dist, OgdConfig(regime=L2, t_max=10, p_doublings_max=0))
     summary = trace_summary(trace, 0.25)
     for key in ("regime", "best_value", "best_t", "p_final"):
         assert key in summary

@@ -29,7 +29,7 @@ from wcmean.lowerbound import (
     check_non_expanding,
     semilinear_callable,
 )
-from wcmean.optimizer import OgdConfig, minimize_sdp2, minimize_sdp_inf, run_with_doubling
+from wcmean.optimizer import OgdConfig, run_with_doubling
 
 PAIRS = [([0, 1], [2, 3, 4]), ([2], [0, 1, 2, 3, 4]), ([0, 3, 4], [1])]
 REPEATS = [3, 2, 1]
@@ -81,14 +81,12 @@ def test_ogd_matches_multiset(regime):
     np.testing.assert_allclose(repeat_rows(est_w.dense()), est_m.dense(), atol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "regime, minimize, p", [(L2, minimize_sdp2, 0.4), (LINF, minimize_sdp_inf, 0.3)]
-)
-def test_ogd_path_matches_multiset_where_the_ball_binds(regime, minimize, p):
+@pytest.mark.parametrize("regime, p", [(L2, 0.4), (LINF, 0.3)])
+def test_ogd_path_matches_multiset_where_the_ball_binds(regime, p):
     weighted, multiset = weighted_and_multiset()
-    cfg = OgdConfig(regime=regime, eps=0.05, t_max=30, seed=2)
-    est_w, tr_w = minimize(weighted, cfg, p=p)
-    est_m, tr_m = minimize(multiset, cfg, p=p)
+    cfg = OgdConfig(regime=regime, eps=0.05, t_max=30, seed=2, p_init=p, p_doublings_max=0)
+    est_w, tr_w, _ = run_with_doubling(weighted, cfg)
+    est_m, tr_m, _ = run_with_doubling(multiset, cfg)
     assert np.any(tr_w.lam < 1.0)  # the projection is exercised
     np.testing.assert_allclose(tr_w.lam, tr_m.lam, rtol=1e-9)
     np.testing.assert_allclose(tr_w.f_t, tr_m.f_t, rtol=1e-9, atol=1e-12)
