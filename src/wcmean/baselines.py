@@ -1,9 +1,14 @@
-"""Classical weighting estimators used as comparison points."""
+"""Classical weighting estimators used as comparison points.
+
+Each is built from the distribution and, for the group-based ones, its
+group structure alone.  Selective prediction reads its window from each
+pair, so ``wcmean evaluate`` on an overlap process scores the estimator
+that ``wcmean experiment selective --overlap-windows`` reports.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +26,8 @@ class GroupStructure:
     def __post_init__(self):
         probs = np.asarray(self.inclusion_prob, dtype=float)
         n = probs.size
-        if np.any(probs <= 0.0) or np.any(probs > 1.0):
-            raise ValueError("inclusion probabilities must lie in (0, 1]")
+        if probs.ndim != 1 or not np.all((probs > 0.0) & (probs <= 1.0)):
+            raise ValueError("inclusion probabilities must be a 1-D array of values in (0, 1]")
         groups = tuple(tuple(sorted(int(j) for j in g)) for g in self.groups)
         seen: set[int] = set()
         for g in groups:
@@ -69,18 +74,13 @@ def reweighting_estimator(
 
 
 def subgroup_estimator(
-    dist: SampleTargetDistribution,
-    gs: GroupStructure,
-    empty_groups: str = "zero",
+    dist: SampleTargetDistribution, gs: GroupStructure
 ) -> SemilinearEstimator:
     """Average of per-group sample means.
 
-    ``empty_groups`` picks the rule for groups with no sampled index:
-    "zero" counts them as contributing a zero mean (divide by the total
-    number of groups); "drop" averages over the sampled groups only.
+    A group with no sampled index contributes a zero mean: the divisor is
+    always the total number of groups.
     """
-    if empty_groups not in ("zero", "drop"):
-        raise ValueError(f'empty_groups must be "zero" or "drop", got {empty_groups!r}')
     if gs.n != dist.n:
         raise ValueError("group structure population size does not match")
     _require_full_target(dist, "subgroup")
@@ -88,13 +88,10 @@ def subgroup_estimator(
     for pair in dist.pairs:
         sample = set(pair.sample)
         hits = [[j for j in g if j in sample] for g in gs.groups]
-        nonempty = sum(1 for h in hits if h)
-        divisor = len(gs.groups) if empty_groups == "zero" else nonempty
         w: dict[int, float] = {}
-        if divisor > 0:
-            for h in hits:
-                for j in h:
-                    w[j] = 1.0 / (divisor * len(h))
+        for h in hits:
+            for j in h:
+                w[j] = 1.0 / (len(gs.groups) * len(h))
         weights.append(w)
     return SemilinearEstimator(dist.n, tuple(weights))
 
@@ -104,36 +101,27 @@ def sample_mean_estimator(dist: SampleTargetDistribution) -> SemilinearEstimator
     return estimator_from_dense(dist, uniform_init(dist))
 
 
-def selective_prediction_estimator(
-    dist: SampleTargetDistribution,
-    window: int | Sequence[int] | None = None,
-) -> SemilinearEstimator:
+def selective_prediction_estimator(dist: SampleTargetDistribution) -> SemilinearEstimator:
     """Mean of the last min(w, t) observed values of a length-t prefix sample.
 
     Every sample set must be a prefix {0, ..., t-1} (possibly empty).  The
-    per-pair window length defaults to the pair's target-set size; a scalar
-    or an m-length sequence overrides it.
+    window w of a pair is the number of its target indices that are not
+    observed: |B| for a target after the prefix, |B| - 1 for one that
+    also holds the newest observed point.  Both equal the w that
+    ``collectors.gen_selective`` drew, under either target convention.
     """
-    m = dist.m
-    if window is None:
-        lengths = [len(pair.target) for pair in dist.pairs]
-    elif isinstance(window, int):
-        lengths = [window] * m
-    else:
-        lengths = [int(w) for w in window]
-        if len(lengths) != m:
-            raise ValueError(f"expected {m} window lengths, got {len(lengths)}")
-    if any(w < 1 for w in lengths):
-        raise ValueError("window lengths must be >= 1")
     weights = []
     for i, pair in enumerate(dist.pairs):
         t = len(pair.sample)
         if pair.sample != tuple(range(t)):
             raise ValueError(f"pair {i}: sample set is not a prefix")
+        w = sum(1 for j in pair.target if j >= t)
+        if w == 0:
+            raise ValueError(f"pair {i}: every target index is observed, so there is no window")
         if t == 0:
             weights.append({})
             continue
-        k = min(lengths[i], t)
+        k = min(w, t)
         weights.append({j: 1.0 / k for j in range(t - k, t)})
     return SemilinearEstimator(dist.n, tuple(weights))
 
@@ -145,8 +133,6 @@ def baseline_estimator(
     name: str,
     dist: SampleTargetDistribution,
     gs: GroupStructure | None = None,
-    empty_groups: str = "zero",
-    window: int | Sequence[int] | None = None,
 ) -> SemilinearEstimator:
     """Build a named baseline; group-based ones require a GroupStructure."""
     if name == "reweighting":
@@ -156,9 +142,9 @@ def baseline_estimator(
     if name == "subgroup":
         if gs is None:
             raise ValueError("subgroup requires a group structure")
-        return subgroup_estimator(dist, gs, empty_groups=empty_groups)
+        return subgroup_estimator(dist, gs)
     if name == "sample_mean":
         return sample_mean_estimator(dist)
     if name == "selective_prediction":
-        return selective_prediction_estimator(dist, window=window)
+        return selective_prediction_estimator(dist)
     raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINES}")

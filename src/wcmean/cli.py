@@ -227,16 +227,29 @@ def cmd_optimize(dist_path, regime, eps, t_max, seed, p_init, max_doublings, out
 
 
 def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStructure | None:
-    candidate = meta_path if meta_path is not None else _meta_path(dist_path)
-    if not candidate.exists():
+    """Group structure from generator metadata; None for a process without one.
+
+    Only an omitted --metadata whose default <dist>.meta.json is absent
+    falls back silently: an explicit path must be readable.
+    """
+    if meta_path is None:
+        meta_path = _meta_path(dist_path)
+        if not meta_path.exists():
+            return None
+    meta = _load_json(meta_path)
+    if not isinstance(meta, dict):
+        raise SchemaError("bad_schema", f"{meta_path}: metadata must be a JSON object")
+    if "groups" not in meta and "inclusion_prob" not in meta:
         return None
-    meta = _load_json(candidate)
-    if not isinstance(meta, dict) or "groups" not in meta or "inclusion_prob" not in meta:
-        return None
-    return GroupStructure(
-        groups=tuple(tuple(g) for g in meta["groups"]),
-        inclusion_prob=np.asarray(meta["inclusion_prob"], dtype=float),
-    )
+    try:
+        return GroupStructure(
+            groups=tuple(tuple(g) for g in meta["groups"]),
+            inclusion_prob=np.asarray(meta["inclusion_prob"], dtype=float),
+        )
+    except KeyError as exc:
+        raise SchemaError("bad_schema", f"{meta_path}: no {exc} key") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("bad_schema", f"{meta_path}: bad group structure: {exc}") from exc
 
 
 def _load_points(path: Path) -> np.ndarray:

@@ -45,6 +45,7 @@ _LAYOUT = {
         "rows": ("worst_linf", "worst_l2"),
     },
 }
+_OGD_REGIME = {"ogd_linf": LINF, "ogd_l2": L2}
 
 
 @dataclass
@@ -159,27 +160,16 @@ def run_experiment(
     columns = layout["columns"]
     rows = layout["rows"]
 
-    # window length counts unobserved points, not the target size: an
-    # overlapping window shares one index with the sample, so w = |B| - 1
-    sel_windows = None
-    if name == "selective":
-        sel_windows = [len(p.target) - (1 if overlap else 0) for p in dist.pairs]
-
     estimators: dict[str, SemilinearEstimator] = {}
     ogd_info: dict[str, dict] = {}
     for col in columns:
-        if col == "ogd_linf":
-            cfg = OgdConfig(regime=LINF, eps=eps, t_max=t_max, seed=seed)
-            est, trace, p_final = run_with_doubling(dist, cfg)
-            estimators[col] = est
-            ogd_info[col] = trace_summary(trace, p_final)
-        elif col == "ogd_l2":
-            cfg = OgdConfig(regime=L2, eps=eps, t_max=t_max, seed=seed)
+        if col in _OGD_REGIME:
+            cfg = OgdConfig(regime=_OGD_REGIME[col], eps=eps, t_max=t_max, seed=seed)
             est, trace, p_final = run_with_doubling(dist, cfg)
             estimators[col] = est
             ogd_info[col] = trace_summary(trace, p_final)
         else:
-            estimators[col] = baseline_estimator(col, dist, gs, window=sel_windows)
+            estimators[col] = baseline_estimator(col, dist, gs)
 
     convergence_notes: list[str] = []
 

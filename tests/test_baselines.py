@@ -78,12 +78,9 @@ def test_subgroup_one_sample_per_group():
 
 def test_subgroup_empty_group_rules():
     dist = make_dist(4, [([0, 1], [0, 1, 2, 3])])
-    # default: the unsampled group still counts in the divisor
-    zero = subgroup_estimator(dist, four_point_gs())
-    assert zero.weights[0] == {0: pytest.approx(0.25), 1: pytest.approx(0.25)}
-    # override: average over sampled groups only
-    drop = subgroup_estimator(dist, four_point_gs(), empty_groups="drop")
-    assert drop.weights[0] == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
+    # the unsampled group still counts in the divisor
+    est = subgroup_estimator(dist, four_point_gs())
+    assert est.weights[0] == {0: pytest.approx(0.25), 1: pytest.approx(0.25)}
 
 
 def test_subgroup_empty_sample_is_zero():
@@ -126,13 +123,20 @@ def test_sample_mean_weights_sum_to_one():
 
 def test_selective_last_two_mean():
     dist = make_dist(8, [(list(range(4)), [4, 5])])
-    est = selective_prediction_estimator(dist, window=2)
+    est = selective_prediction_estimator(dist)
     assert est.weights[0] == {2: pytest.approx(0.5), 3: pytest.approx(0.5)}
+
+
+def test_selective_overlap_target_window_excludes_observed_index():
+    # the target shares index 5 with the sample, so only 6 and 7 are unseen
+    dist = make_dist(8, [(list(range(6)), [5, 6, 7])])
+    est = selective_prediction_estimator(dist)
+    assert est.weights[0] == {4: pytest.approx(0.5), 5: pytest.approx(0.5)}
 
 
 def test_selective_clips_window_to_prefix():
     dist = make_dist(16, [([0], [1, 2, 3, 4, 5, 6, 7, 8])])
-    est = selective_prediction_estimator(dist, window=8)
+    est = selective_prediction_estimator(dist)
     assert est.weights[0] == {0: pytest.approx(1.0)}
 
 
@@ -149,8 +153,8 @@ def test_selective_default_window_is_target_size():
 
 
 def test_selective_per_pair_windows():
-    dist = make_dist(10, [(list(range(4)), [4]), (list(range(6)), [6])])
-    est = selective_prediction_estimator(dist, window=[1, 3])
+    dist = make_dist(10, [(list(range(4)), [4]), (list(range(6)), [6, 7, 8])])
+    est = selective_prediction_estimator(dist)
     assert est.weights[0] == {3: pytest.approx(1.0)}
     assert est.weights[1] == {j: pytest.approx(1 / 3) for j in (3, 4, 5)}
 
@@ -161,16 +165,11 @@ def test_selective_rejects_non_prefix_sample():
         selective_prediction_estimator(dist)
 
 
-def test_selective_rejects_wrong_window_count():
-    dist = make_dist(6, [([0], [1]), ([0, 1], [2])])
-    with pytest.raises(ValueError):
-        selective_prediction_estimator(dist, window=[1, 2, 3])
-
-
 def test_selective_rejects_nonpositive_window():
-    dist = make_dist(6, [([0], [1])])
-    with pytest.raises(ValueError):
-        selective_prediction_estimator(dist, window=0)
+    # every target index of pair 1 is observed: its window would be empty
+    dist = make_dist(6, [([0], [1]), ([0, 1, 2], [1, 2])])
+    with pytest.raises(ValueError, match="pair 1"):
+        selective_prediction_estimator(dist)
 
 
 # ── dispatch and support invariant ───────────────────────────────────
@@ -198,13 +197,3 @@ def test_every_baseline_respects_support():
     validate_estimator(baseline_estimator("subgroup", imp, gs), imp)
     validate_estimator(baseline_estimator("sample_mean", snow), snow)
     validate_estimator(baseline_estimator("selective_prediction", sel), sel)
-
-
-def test_baseline_window_passthrough():
-    sel = gen_selective()
-    windows = [len(p.target) for p in sel.pairs]
-    a = baseline_estimator("selective_prediction", sel, window=windows)
-    b = baseline_estimator("selective_prediction", sel)
-    assert a.weights == b.weights
-    c = baseline_estimator("selective_prediction", sel, window=1)
-    assert any(a.weights[i] != c.weights[i] for i in range(sel.m))

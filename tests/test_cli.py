@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from wcmean.baselines import selective_prediction_estimator
 from wcmean.cli import main
 from wcmean.collectors import gen_selective
-from wcmean.core import fixed_data_error
+from wcmean.core import SemilinearEstimator, fixed_data_error, save_estimator_file
 from wcmean.optimizer import OgdConfig, run_with_doubling
 
 SMALL_EXP = ["--m", "60", "--t-max", "8", "--eps", "0.05"]
@@ -252,6 +252,7 @@ def test_evaluate_malformed_dist_is_schema_error(runner, tmp_path):
         ("--dataset", "file:{tmp}/missing.json"),
         ("--dataset", "spatial:{tmp}/nope.json"),
         ("--metadata", "{tmp}"),  # a directory
+        ("--metadata", "{tmp}/nothere.json"),
     ],
 )
 def test_evaluate_unreadable_input_is_schema_error(runner, tmp_path, flag, value):
@@ -263,6 +264,29 @@ def test_evaluate_unreadable_input_is_schema_error(runner, tmp_path, flag, value
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
     assert "[unreadable]" in result.output
+
+
+def test_evaluate_selective_overlap_matches_experiment_estimator(runner, tmp_path):
+    # the experiment's estimator averages the last w observed values, w being
+    # the number of unobserved target indices: |B| - 1 under --overlap
+    dist = gen(runner, tmp_path, "selective", "--n", "18", "--windows", "1,2,4,8", "--overlap")
+    library = gen_selective(n=18, windows=[1, 2, 4, 8], overlap=True)
+    weights = []
+    for pair in library.pairs:
+        t = len(pair.sample)
+        k = min(len(pair.target) - 1, t)
+        weights.append({j: 1.0 / k for j in range(t - k, t)})
+    expected = tmp_path / "experiment_rule.json"
+    save_estimator_file(SemilinearEstimator(library.n, tuple(weights)), expected)
+    report = tmp_path / "r.csv"
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist), "--estimator", str(expected),
+         "--baseline", "selective_prediction", "--dataset", "worst-l2", "--out", str(report)],
+    )
+    assert result.exit_code == 0, result.output
+    values = [line.split(",")[2] for line in report.read_text().splitlines()[1:]]
+    assert values == ["1.179098", "1.179098"]
 
 
 def test_evaluate_thread_env_validation(runner, tmp_path):
@@ -357,6 +381,40 @@ def test_lowerbound_rejects_estimator_and_baseline(runner, tmp_path):
          "--estimator", str(dist), "--out", str(tmp_path / "c.json")],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"groups": 5, "inclusion_prob": [0.5]},
+        {"groups": [[0, 1], [2, 3]], "inclusion_prob": [2.0, 0.5, 0.5, 0.5]},
+        {"groups": [[0, 1], [2, 3]], "inclusion_prob": [float("nan"), 0.5, 0.5, 0.5]},
+        {"groups": [[0, 1], [2, 3]], "inclusion_prob": [[0.5, 0.5, 0.5, 0.5]]},
+        {"groups": [[0, 1], [2, 3]]},
+        [0.5, 0.5, 0.5, 0.5],
+    ],
+    ids=[
+        "groups-not-a-list",
+        "probability-above-one",
+        "probability-nan",
+        "probabilities-nested",
+        "no-probabilities",
+        "not-an-object",
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "lowerbound"])
+def test_malformed_metadata_is_schema_error(runner, tmp_path, command, meta):
+    dist = half_split_file(tmp_path)
+    bad = tmp_path / "badmeta.json"
+    bad.write_text(json.dumps(meta))
+    extra = ["--dataset", "constant"] if command == "evaluate" else ["--subset", "0,1"]
+    result = runner.invoke(
+        main,
+        [command, "--dist", str(dist), "--baseline", "reweighting",
+         "--metadata", str(bad), "--out", str(tmp_path / "r.out"), *extra],
+    )
+    assert result.exit_code == 3, result.output
+    assert "[bad_schema]" in result.output
 
 
 def test_lowerbound_size_cap_exit_code(runner, tmp_path):

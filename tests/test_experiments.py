@@ -1,4 +1,4 @@
-"""Experiment driver: layouts, determinism, CSV output, window plumbing."""
+"""run_experiment: layouts, determinism, CSV output, selective windows."""
 
 import numpy as np
 import pytest
@@ -71,9 +71,10 @@ def test_selective_window_conventions_change_baseline():
     overlap = run_experiment("selective", seed=0, overlap=True, **SMALL)
     sp_d = disjoint.estimators["selective_prediction"]
     sp_o = overlap.estimators["selective_prediction"]
-    # both conventions resolve the window parameter to the same w (the
-    # overlapping target is one longer), so the weights agree and only
-    # the target sets move
+    # the window counts unobserved target indices, so both conventions
+    # give the same w (the overlapping target is one longer but shares
+    # the newest observed index): the weights agree and only the target
+    # sets move
     assert sp_d.weights == sp_o.weights
     d_cells = disjoint.cells["worst_l2"]["selective_prediction"]
     o_cells = overlap.cells["worst_l2"]["selective_prediction"]
