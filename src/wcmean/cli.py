@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from .core import (
 from .experiments import (
     EXPERIMENTS,
     average_results,
-    map_cells,
     run_experiment,
     spatial_values,
     synthetic_values,
@@ -84,17 +82,6 @@ def handle_errors(fn):
             _fail(2, str(exc))
 
     return wrapper
-
-
-def _threads() -> int:
-    raw = os.environ.get("WCE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"WCE_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"WCE_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _meta_path(out: Path) -> Path:
@@ -252,13 +239,27 @@ def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStruc
         raise SchemaError("bad_schema", f"{meta_path}: bad group structure: {exc}") from exc
 
 
+def _numeric_array(data, path: Path) -> np.ndarray:
+    """JSON content as a float array; bad_schema unless it is all finite numbers."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged nesting
+        raise SchemaError("bad_schema", f"{path}: not a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise SchemaError("bad_schema", f"{path}: not an array of finite numbers")
+    return arr.astype(float)
+
+
 def _load_points(path: Path) -> np.ndarray:
     data = _load_json(path)
     if isinstance(data, dict):
         if "points" not in data:
             raise SchemaError("bad_schema", f'{path}: no "points" key')
         data = data["points"]
-    return np.asarray(data, dtype=float)
+    points = _numeric_array(data, path)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise SchemaError("bad_schema", f"{path}: points must be a (k, 2) array, got {points.shape}")
+    return points
 
 
 def _dataset_vector(spec: str, n: int) -> np.ndarray | None:
@@ -275,10 +276,14 @@ def _dataset_vector(spec: str, n: int) -> np.ndarray | None:
         path = Path(spec.split(":", 1)[1])
         data = _load_json(path)
         if isinstance(data, dict):
-            data = data.get("x")
-        vals = np.asarray(data, dtype=float)
-        if vals.ndim != 1 or vals.size != n:
-            raise ValueError(f"data file {path} must hold {n} values")
+            if "x" not in data:
+                raise SchemaError("bad_schema", f'{path}: no "x" key')
+            data = data["x"]
+        vals = _numeric_array(data, path)
+        if vals.ndim != 1:
+            raise SchemaError("bad_schema", f"{path}: data must be a 1-D list, got {vals.shape}")
+        if vals.size != n:
+            raise ValueError(f"data file {path} holds {vals.size} values, expected {n}")
         return vals
     if spec in ("worst-linf", "worst-l2"):
         return None
@@ -320,11 +325,12 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
         # spec "worst-linf" / "worst-l2" is the table row "worst_linf" / "worst_l2"
         return worst_case_cell(est, dist, spec.replace("-", "_"), eps, rng)
 
-    keys = [(i, spec) for i in range(len(named)) for spec in dataset_specs]
-    values = map_cells(cell, keys, _threads())
     lines = ["estimator,dataset,error"]
-    for (i, spec), value in zip(keys, values):
-        lines.append(f"{named[i][0]},{spec},{value:.6f}")
+    lines += [
+        f"{named[i][0]},{spec},{cell(i, spec):.6f}"
+        for i in range(len(named))
+        for spec in dataset_specs
+    ]
     Path(out).write_text("\n".join(lines) + "\n")
     provenance = {
         "distribution": str(dist_path),
@@ -352,25 +358,14 @@ def cmd_experiment(name, out_dir, seed, num_seeds, m, eps, t_max, overlap_window
     if num_seeds < 1:
         raise ValueError(f"num-seeds must be >= 1, got {num_seeds}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _threads()
     results = [
-        run_experiment(
-            name,
-            seed=s,
-            m=m,
-            eps=eps,
-            t_max=t_max,
-            overlap=overlap_windows,
-            threads=threads,
-        )
+        run_experiment(name, seed=s, m=m, eps=eps, t_max=t_max, overlap=overlap_windows)
         for s in range(seed, seed + num_seeds)
     ]
     result = results[0] if num_seeds == 1 else average_results(results)
     csv_path = out_dir / f"{name}.csv"
     write_experiment_csv(result, csv_path)
-    provenance = dict(result.provenance)
-    provenance.pop("points", None)  # point clouds live in generator metadata files
-    _write_json(provenance, out_dir / f"{name}.provenance.json")
+    _write_json(result.provenance, out_dir / f"{name}.provenance.json")
     click.echo(f"wrote {csv_path}")
     for row in result.rows:
         cells = "  ".join(f"{col}={result.cells[row][col]:.6f}" for col in result.columns)

@@ -233,10 +233,6 @@ class LossMatrix:
     def trace(self) -> float:
         return float(np.sum(self.rows * self.rows))
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        """M @ w computed through the factor in O(mn)."""
-        return self.rows.T @ (self.rows @ w)
-
     def quad(self, x: np.ndarray) -> float:
         """x^T M x, nonnegative by construction."""
         y = self.rows @ np.asarray(x, dtype=float)

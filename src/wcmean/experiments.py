@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -46,6 +44,12 @@ _LAYOUT = {
     },
 }
 _OGD_REGIME = {"ogd_linf": LINF, "ogd_l2": L2}
+
+# generator parameters of each table, passed to its generator as they are
+# recorded in the provenance
+IMPORTANCE_PARAMS = {"n": 50, "split": 25, "probs": (0.1, 0.5)}
+SNOWBALL_PARAMS = {"n": 50, "k": 25, "num_neighbors": 5, "recruit": 2}
+SELECTIVE_PARAMS = {"n": 32, "windows": (1, 2, 4, 8, 16)}
 
 
 @dataclass
@@ -105,14 +109,6 @@ def worst_case_cell(
     raise ValueError(f"unknown worst-case row {row!r}")
 
 
-def map_cells(fill: Callable[..., float], keys: list[tuple], threads: int) -> list[float]:
-    """fill(*key) for every key, in key order; on a thread pool when threads > 1."""
-    if threads == 1:
-        return [fill(*key) for key in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda key: fill(*key), keys))
-
-
 def run_experiment(
     name: str,
     seed: int = 0,
@@ -120,40 +116,27 @@ def run_experiment(
     eps: float = 0.01,
     t_max: int = 1000,
     overlap: bool = False,
-    threads: int = 1,
 ) -> ExperimentResult:
     """Build the process, fit both OGD estimators, and fill the error table.
 
-    Every cell's randomness comes from its own deterministically derived
-    rng, so results are byte-identical regardless of thread count.
+    Every worst-case cell draws from its own rng, derived from the seed and
+    the cell's position, so a cell's value does not depend on the others.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
-    split = None
     points = None
     gs: GroupStructure | None = None
     if name == "importance":
-        split = 25
-        dist, gs = gen_importance(m=m, seed=seed)
-        generator = {"n": dist.n, "split": split, "probs": [0.1, 0.5], "m": m, "seed": seed}
+        generator = {**IMPORTANCE_PARAMS, "m": m, "seed": seed}
+        dist, gs = gen_importance(**generator)
     elif name == "snowball":
-        dist, points = gen_snowball(m=m, seed=seed)
-        generator = {
-            "n": dist.n,
-            "k": 25,
-            "num_neighbors": 5,
-            "recruit": 2,
-            "m": m,
-            "seed": seed,
-        }
+        generator = {**SNOWBALL_PARAMS, "m": m, "seed": seed}
+        dist, points = gen_snowball(**generator)
     else:
-        dist = gen_selective(overlap=overlap)
+        dist = gen_selective(**SELECTIVE_PARAMS, overlap=overlap)
         generator = {
-            "n": dist.n,
-            "windows": [1, 2, 4, 8, 16],
+            **SELECTIVE_PARAMS,
             "window_convention": "overlap" if overlap else "disjoint",
         }
     layout = _LAYOUT[name]
@@ -176,7 +159,8 @@ def run_experiment(
     def fill_cell(row: str, col: str) -> float:
         est = estimators[col]
         if row in ("constant", "intergroup", "intragroup"):
-            return fixed_data_error(est, dist, synthetic_values(row, dist.n, split))
+            values = synthetic_values(row, dist.n, generator["split"])
+            return fixed_data_error(est, dist, values)
         if row == "spatial":
             return fixed_data_error(est, dist, spatial_values(points))
         rng = np.random.default_rng(
@@ -190,11 +174,7 @@ def run_experiment(
             convergence_notes.append(f"{row}/{col}: {exc}")
             return exc.assignment.objective
 
-    cell_keys = [(row, col) for row in rows for col in columns]
-    values = map_cells(fill_cell, cell_keys, threads)
-    cells: dict[str, dict[str, float]] = {row: {} for row in rows}
-    for (row, col), value in zip(cell_keys, values):
-        cells[row][col] = float(value)
+    cells = {row: {col: float(fill_cell(row, col)) for col in columns} for row in rows}
 
     provenance = {
         "experiment": name,
@@ -207,8 +187,6 @@ def run_experiment(
     }
     if convergence_notes:
         provenance["convergence_notes"] = convergence_notes
-    if points is not None:
-        provenance["points"] = [[float(a), float(b)] for a, b in points]
     return ExperimentResult(name, rows, columns, cells, estimators, provenance)
 
 

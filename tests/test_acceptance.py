@@ -71,13 +71,13 @@ def random_estimator(rng, dist, scale=1.0):
 @pytest.fixture(scope="module")
 def importance_runs():
     started = time.perf_counter()
-    runs = [run_experiment("importance", seed=s, threads=4) for s in range(5)]
+    runs = [run_experiment("importance", seed=s) for s in range(5)]
     return runs, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def snowball_default():
-    return run_experiment("snowball", seed=0, threads=4)
+    return run_experiment("snowball", seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +103,8 @@ def snowball_variant():
 
 @pytest.fixture(scope="module")
 def selective_tables():
-    disjoint = run_experiment("selective", seed=0, overlap=False, threads=4)
-    overlap = run_experiment("selective", seed=0, overlap=True, threads=4)
+    disjoint = run_experiment("selective", seed=0, overlap=False)
+    overlap = run_experiment("selective", seed=0, overlap=True)
     return disjoint, overlap
 
 

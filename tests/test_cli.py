@@ -266,6 +266,54 @@ def test_evaluate_unreadable_input_is_schema_error(runner, tmp_path, flag, value
     assert "[unreadable]" in result.output
 
 
+def evaluate_dataset(runner, tmp_path, kind, content):
+    """Run evaluate on a 50-point importance process with one dataset file."""
+    dist = gen(runner, tmp_path, "importance")
+    data = tmp_path / "data.json"
+    data.write_text(content if isinstance(content, str) else json.dumps(content))
+    return runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
+         "--dataset", f"{kind}:{data}", "--out", str(tmp_path / "r.csv")],
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("file", ["a", "b"]),
+        ("file", {"y": [1, 2]}),
+        ("file", [[1.0, 2.0]] * 25),
+        ("file", "[NaN" + ", 1.0" * 49 + "]"),
+        ("spatial", {"points": "abc"}),
+        ("spatial", list(range(50))),
+        ("spatial", [[0.5, 0.5], [0.5]]),
+    ],
+    ids=[
+        "file-strings",
+        "file-no-x-key",
+        "file-nested",
+        "file-nan",
+        "spatial-string",
+        "spatial-flat",
+        "spatial-ragged",
+    ],
+)
+def test_evaluate_malformed_dataset_is_schema_error(runner, tmp_path, kind, content):
+    result = evaluate_dataset(runner, tmp_path, kind, content)
+    assert result.exit_code == 3, result.output
+    assert "[bad_schema]" in result.output
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [("file", [1.0, 2.0, 3.0]), ("file", {"x": [1.0]}), ("spatial", [[0.5, 0.5]] * 3)],
+)
+def test_evaluate_dataset_of_wrong_size_is_usage_error(runner, tmp_path, kind, content):
+    result = evaluate_dataset(runner, tmp_path, kind, content)
+    assert result.exit_code == 2, result.output
+
+
 def test_evaluate_selective_overlap_matches_experiment_estimator(runner, tmp_path):
     # the experiment's estimator averages the last w observed values, w being
     # the number of unobserved target indices: |B| - 1 under --overlap
@@ -287,17 +335,6 @@ def test_evaluate_selective_overlap_matches_experiment_estimator(runner, tmp_pat
     assert result.exit_code == 0, result.output
     values = [line.split(",")[2] for line in report.read_text().splitlines()[1:]]
     assert values == ["1.179098", "1.179098"]
-
-
-def test_evaluate_thread_env_validation(runner, tmp_path):
-    dist = gen(runner, tmp_path, "importance")
-    result = runner.invoke(
-        main,
-        ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
-         "--dataset", "constant", "--out", str(tmp_path / "r.csv")],
-        env={"WCE_THREADS": "zero"},
-    )
-    assert result.exit_code == 2
 
 
 # ── experiment ───────────────────────────────────────────────────────
@@ -325,6 +362,27 @@ def test_experiment_seed_averaging(runner, tmp_path):
     assert result.exit_code == 0, result.output
     prov = json.loads((tmp_path / "importance.provenance.json").read_text())
     assert prov["seeds"] == [0, 1]
+
+
+def test_experiment_provenance_holds_no_point_cloud(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["experiment", "snowball", "--out-dir", str(tmp_path), "--num-seeds", "2", *SMALL_EXP],
+    )
+    assert result.exit_code == 0, result.output
+    prov = json.loads((tmp_path / "snowball.provenance.json").read_text())
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    assert "runs" in prov
+    assert "points" not in set(keys(prov))
 
 
 def test_experiment_rejects_bad_num_seeds(runner, tmp_path):

@@ -52,18 +52,14 @@ def test_importance_layout_and_finiteness(importance_result):
     assert "ogd_l2" in r.provenance["ogd"]
 
 
-def test_threading_does_not_change_cells(importance_result):
-    threaded = run_experiment("importance", seed=0, threads=4, **SMALL)
-    for row in importance_result.rows:
-        for col in importance_result.columns:
-            assert threaded.cells[row][col] == importance_result.cells[row][col]
-
-
 def test_snowball_layout():
     r = run_experiment("snowball", seed=0, **SMALL)
     assert r.rows == ("spatial", "worst_linf", "worst_l2")
     assert r.columns == ("sample_mean", "ogd_linf", "ogd_l2")
-    assert "points" in r.provenance
+    assert r.provenance["generator"] == {
+        "n": 50, "k": 25, "num_neighbors": 5, "recruit": 2, "m": SMALL["m"], "seed": 0,
+    }
+    assert "points" not in r.provenance
 
 
 def test_selective_window_conventions_change_baseline():

@@ -96,7 +96,7 @@ def test_top_eigen_exact(m, n, s):
     assert res.iterations == 1
     assert res.rayleigh == pytest.approx(lam, rel=1e-10)
     assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose(M.matvec(res.vector), lam * res.vector, atol=1e-10 * lam)
+    np.testing.assert_allclose(M.dense @ res.vector, lam * res.vector, atol=1e-10 * lam)
 
 
 def test_top_eigen_rejects_bad_eps():
