@@ -83,12 +83,12 @@ class OgdConfig:
     def __post_init__(self):
         if self.regime not in (LINF, L2):
             raise ValueError(f"regime must be {LINF!r} or {L2!r}, got {self.regime!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if self.p_init is not None and self.p_init <= 0:
-            raise ValueError(f"p_init must be positive, got {self.p_init}")
+        if self.p_init is not None and not 0 < self.p_init < math.inf:
+            raise ValueError(f"p_init must be positive and finite, got {self.p_init}")
         if self.p_doublings_max is not None and self.p_doublings_max < 0:
             raise ValueError("p_doublings_max must be >= 0")
         if self.seed < 0:

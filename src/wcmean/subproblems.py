@@ -9,7 +9,10 @@ loss matrix M(a):
 * ``sdp_inf_solve``: max <M, X> over PSD X with unit diagonal, an upper
   bound within pi/2 of the worst case over the cube |x_j| <= 1.  Solved in
   low-rank factored form X = V^T V by coordinate ascent over the unit-norm
-  columns of V, with sign rounding recovering a cube adversary.
+  columns of V, with sign rounding recovering a cube adversary.  A column
+  step is three numpy calls on row j of M with its diagonal zeroed: a
+  matrix-vector product, its norm and a divide into the column.  Row j
+  stands for column j because M = rows^T rows is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -51,11 +54,16 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class PsdAssignment:
-    """Feasible SDP point X = factor^T factor with unit-norm columns (unit diagonal)."""
+    """Feasible SDP point X = factor^T factor with unit-norm columns (unit diagonal).
+
+    ``sweeps`` is the number of coordinate-ascent sweeps that produced it:
+    the sweep count at convergence, or the cap on an SdpConvergenceError.
+    """
 
     factor: np.ndarray  # (rank, n), columns are the vector assignments
     objective: float
     rank: int
+    sweeps: int = 0
 
     def dense(self) -> np.ndarray:
         return self.factor.T @ self.factor
@@ -73,8 +81,8 @@ def top_eigen(M: LossMatrix, eps: float, rng: np.random.Generator) -> EigenResul
     depend on it, nothing is drawn from ``rng``, and one iteration is
     reported.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not np.all(np.isfinite(M.rows)):
         raise ValueError("loss matrix contains non-finite entries")
     n = M.dim
@@ -120,12 +128,17 @@ def sdp_inf_solve(
     Each coordinate step replaces column j with the normalized sum
     sum_{l != j} M_jl V_l (keeping the column when the sum vanishes), which
     maximizes the objective in that column exactly, so sweeps are monotone.
+    The sum is one product V @ off[j] with the contiguous row j of ``off``,
+    a copy of M with its diagonal zeroed; row j equals column j because
+    ``M.dense`` = rows^T rows is computed as an exactly symmetric matrix.
     Converged when a full sweep improves the objective by at most
     eps/20 * max(objective, trace M).  Raises SdpConvergenceError carrying
-    the best assignment if the sweep cap is hit first.
+    the best assignment if ``max_sweeps`` sweeps end first.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     if not np.all(np.isfinite(M.rows)):
         raise ValueError("loss matrix contains non-finite entries")
     n = M.dim
@@ -136,23 +149,29 @@ def sdp_inf_solve(
     norms = np.linalg.norm(V, axis=0)
     norms[norms == 0.0] = 1.0
     V /= norms
-    diag = np.diag(dense).copy()
+    off = dense.copy()
+    np.fill_diagonal(off, 0.0)
+    steps = list(zip(off, V.T))  # (row j of off, column j of V) views
+    d = np.empty(rank)
+    # Bound once: each column step costs about as much in call overhead
+    # as in arithmetic.
+    product, square, sqrt, divide = V.dot, d.dot, math.sqrt, np.divide
 
     def objective() -> float:
         return float(np.sum((V @ dense) * V))
 
     obj = objective()
-    for _ in range(max_sweeps):
-        for j in range(n):
-            d = V @ dense[:, j] - diag[j] * V[:, j]
-            nd = float(np.linalg.norm(d))
+    for sweep in range(1, max_sweeps + 1):
+        for row, col in steps:
+            product(row, d)
+            nd = sqrt(square(d))
             if nd > 1e-15:
-                V[:, j] = d / nd
+                divide(d, nd, out=col)
         new_obj = objective()
         if new_obj - obj <= (eps / 20.0) * max(new_obj, trace):
-            return PsdAssignment(V.copy(), new_obj, rank)
+            return PsdAssignment(V.copy(), new_obj, rank, sweep)
         obj = new_obj
-    raise SdpConvergenceError(PsdAssignment(V.copy(), obj, rank))
+    raise SdpConvergenceError(PsdAssignment(V.copy(), obj, rank, max_sweeps))
 
 
 def round_sign(

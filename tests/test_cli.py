@@ -169,6 +169,18 @@ def test_optimize_missing_dist_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("eps", ["0", "nan", "inf"])
+def test_optimize_rejects_bad_eps(runner, tmp_path, eps):
+    dist = gen(runner, tmp_path, "importance")
+    result = runner.invoke(
+        main,
+        ["optimize", "--dist", str(dist), "--regime", "linf", "--eps", eps,
+         "--t-max", "2", "--out", str(tmp_path / "e.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "eps must be positive and finite" in result.output
+
+
 # ── evaluate ─────────────────────────────────────────────────────────
 
 
@@ -233,6 +245,17 @@ def test_evaluate_unknown_dataset_spec(runner, tmp_path):
          "--dataset", "mystery", "--out", str(tmp_path / "r.csv")],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("dataset", ["worst-linf", "worst-l2"])
+def test_evaluate_rejects_nan_eps(runner, tmp_path, dataset):
+    dist = gen(runner, tmp_path, "importance")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
+         "--dataset", dataset, "--eps", "nan", "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 2, result.output
 
 
 def test_evaluate_malformed_dist_is_schema_error(runner, tmp_path):
@@ -391,6 +414,15 @@ def test_experiment_rejects_bad_num_seeds(runner, tmp_path):
         ["experiment", "importance", "--out-dir", str(tmp_path), "--num-seeds", "0"],
     )
     assert result.exit_code == 2
+
+
+def test_experiment_rejects_nan_eps(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["experiment", "importance", "--out-dir", str(tmp_path), "--m", "20",
+         "--t-max", "2", "--eps", "nan"],
+    )
+    assert result.exit_code == 2, result.output
 
 
 # ── lowerbound ───────────────────────────────────────────────────────

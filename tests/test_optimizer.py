@@ -50,6 +50,22 @@ def test_radius_formulas():
         radius_for("other", 8, 0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"eps": 0.0},
+        {"eps": math.nan},
+        {"eps": math.inf},
+        {"p_init": 0.0},
+        {"p_init": math.nan},
+        {"p_init": math.inf},
+    ],
+)
+def test_config_rejects_bad_eps_and_p_init(kwargs):
+    with pytest.raises(ValueError):
+        OgdConfig(regime=LINF, **kwargs)
+
+
 def test_ball_geometry_beta():
     # A = {0}, B = {0,1}: b = (.5,.5), off-subspace part (0,.5), beta = .25
     dist = make_dist(2, [([0], [0, 1])])

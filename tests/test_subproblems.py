@@ -99,10 +99,14 @@ def test_top_eigen_exact(m, n, s):
     np.testing.assert_allclose(M.dense @ res.vector, lam * res.vector, atol=1e-10 * lam)
 
 
+BAD_EPS = [0.0, -0.1, math.nan, math.inf]
+
+
 def test_top_eigen_rejects_bad_eps():
     M = LossMatrix(2, np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        top_eigen(M, 0.0, np.random.default_rng(0))
+    for eps in BAD_EPS:
+        with pytest.raises(ValueError):
+            top_eigen(M, eps, np.random.default_rng(0))
 
 
 # ── sdp2_value ───────────────────────────────────────────────────────
@@ -189,6 +193,116 @@ def test_sdp_inf_sweep_cap_carries_assignment():
     with pytest.raises(SdpConvergenceError) as exc:
         sdp_inf_solve(M, EPS, rng, max_sweeps=0)
     assert exc.value.assignment.factor.shape[1] == 8
+    assert exc.value.assignment.sweeps == 0
+
+
+def test_sdp_inf_rejects_bad_eps():
+    M = LossMatrix(2, np.eye(2))
+    for eps in BAD_EPS:
+        with pytest.raises(ValueError):
+            sdp_inf_solve(M, eps, np.random.default_rng(0))
+
+
+def test_sdp_inf_rejects_negative_sweep_cap():
+    M = LossMatrix(2, np.eye(2))
+    with pytest.raises(ValueError):
+        sdp_inf_solve(M, EPS, np.random.default_rng(0), max_sweeps=-3)
+
+
+def reference_sdp_inf(M, eps, rng, max_sweeps=1000):
+    """The column loop in its textbook form: d = V M_{:,j} - M_jj V_j.
+
+    Same random start, stopping rule and sweep cap as ``sdp_inf_solve``;
+    returns (factor, objective, sweeps, converged).
+    """
+    dense = M.dense
+    n = M.dim
+    rank = math.ceil(math.sqrt(2 * n)) + 1
+    V = rng.standard_normal((rank, n))
+    norms = np.linalg.norm(V, axis=0)
+    norms[norms == 0.0] = 1.0
+    V /= norms
+    obj = float(np.sum((V @ dense) * V))
+    for sweep in range(1, max_sweeps + 1):
+        for j in range(n):
+            d = V @ dense[:, j] - dense[j, j] * V[:, j]
+            nd = float(np.linalg.norm(d))
+            if nd > 1e-15:
+                V[:, j] = d / nd
+        new_obj = float(np.sum((V @ dense) * V))
+        if new_obj - obj <= (eps / 20.0) * max(new_obj, M.trace):
+            return V, new_obj, sweep, True
+        obj = new_obj
+    return V, obj, max_sweeps, False
+
+
+def assert_matches_reference(M, seed):
+    ref_V, ref_obj, ref_sweeps, converged = reference_sdp_inf(
+        M, EPS, np.random.default_rng(seed)
+    )
+    assert converged
+    res = sdp_inf_solve(M, EPS, np.random.default_rng(seed))
+    assert res.sweeps == ref_sweeps
+    assert res.objective == pytest.approx(ref_obj, rel=1e-12, abs=1e-300)
+    np.testing.assert_allclose(res.factor, ref_V, rtol=0, atol=1e-10)
+    return res
+
+
+def test_sdp_inf_matches_reference_sweep_on_random_instances():
+    rng = np.random.default_rng(18)
+    for n in range(1, 13):
+        for _ in range(3):
+            m = int(rng.integers(1, 9))
+            _, _, M = random_instance(rng, n, m)
+            assert_matches_reference(M, int(rng.integers(1 << 30)))
+
+
+def test_sdp_inf_matches_reference_sweep_at_benchmark_size():
+    rng = np.random.default_rng(19)
+    _, _, M = random_instance(rng, 50, 150)
+    res = assert_matches_reference(M, 7)
+    assert res.sweeps > 1
+
+
+def test_sdp_inf_matches_reference_sweep_single_point():
+    M = LossMatrix(1, np.array([[0.5], [-2.0]]))
+    res = assert_matches_reference(M, 3)
+    assert res.objective == pytest.approx(M.trace, rel=1e-12)
+
+
+def test_sdp_inf_keeps_column_of_zero_row():
+    rng = np.random.default_rng(20)
+    rows = rng.standard_normal((6, 7))
+    rows[:, 4] = 0.0  # row and column 4 of M vanish
+    M = LossMatrix(7, rows)
+    res = assert_matches_reference(M, 11)
+    start, *_ = reference_sdp_inf(M, EPS, np.random.default_rng(11), max_sweeps=0)
+    np.testing.assert_array_equal(res.factor[:, 4], start[:, 4])
+
+
+def test_sdp_inf_ascent_is_monotone():
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        n = int(rng.integers(3, 13))
+        _, _, M = random_instance(rng, n, int(rng.integers(2, 9)))
+        seed = int(rng.integers(1 << 30))
+        slack = 1e-12 * M.trace
+        previous = -math.inf
+        capped = 0
+        for cap in range(8):
+            try:
+                res = sdp_inf_solve(M, 1e-9, np.random.default_rng(seed), max_sweeps=cap)
+            except SdpConvergenceError as exc:
+                assert exc.assignment.sweeps == cap
+                value = exc.assignment.objective
+                capped += 1
+            else:
+                # converged early: a larger cap returns the same assignment
+                assert res.sweeps <= cap
+                value = res.objective
+            assert value >= previous - slack, (trial, cap, value, previous)
+            previous = value
+        assert capped >= 3, trial
 
 
 # ── round_sign ───────────────────────────────────────────────────────
