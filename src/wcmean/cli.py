@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -307,6 +308,8 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
     """Evaluate estimators on fixed datasets and worst-case relaxations."""
     if not estimator_paths and not baseline_names:
         raise ValueError("provide at least one --estimator or --baseline")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     dist = load_distribution_file(dist_path)
     gs = _load_group_structure(metadata, dist_path)
     named = []

@@ -258,6 +258,22 @@ def test_evaluate_rejects_nan_eps(runner, tmp_path, dataset):
     assert result.exit_code == 2, result.output
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_evaluate_rejects_bad_eps_on_fixed_datasets(runner, tmp_path, eps):
+    dist = gen(runner, tmp_path, "importance")
+    out = tmp_path / "r.csv"
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
+         "--dataset", "constant", "--dataset", "intergroup", "--eps", eps,
+         "--out", str(out)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "eps must be positive and finite" in result.output
+    assert not out.exists()
+    assert not out.with_suffix(".provenance.json").exists()
+
+
 def test_evaluate_malformed_dist_is_schema_error(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
