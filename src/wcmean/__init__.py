@@ -41,11 +41,13 @@ from .lowerbound import (
     semilinear_callable,
 )
 from .optimizer import (
+    AttemptRecord,
     BallGeometry,
     InfeasibleBallError,
     OgdConfig,
     OgdTrace,
     ball_geometry,
+    l2_dual_bound,
     loss_gradient,
     loss_value,
     ogd_step,

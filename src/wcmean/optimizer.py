@@ -22,6 +22,22 @@ projected back radially, and the best iterate by observed objective is
 returned.  An outer doubling scheme grows the radius parameter p until the
 achieved objective is at most p.
 
+In the l2 regime the doubling skips the radii that a dual lower bound rules
+out.  For PSD X with tr X = n let
+
+    g(X) = sum_i pi_i min over u supported on A_i of (u - b_i)^T X (u - b_i),
+
+one least-squares solve per pair.  For every semilinear a, inside the ball
+or not, g(X) <= <M(a), X> <= n lambda_max(M(a)).  Every iterate's f_t is
+n lambda_max(M(a_t)) from an exact eigensolve, so once g(X) > p (with a
+1e-9 relative margin for rounding) the attempt at p would end with
+best_value > p and be rejected: it is skipped without running.  X = I
+gives g(I) = beta / m, the l2 infeasibility threshold itself, and before
+each attempt but the last a few matrix exponentiated gradient steps
+(Tsuda, Raetsch & Warmuth 2005; Arora & Kale 2007) raise the bound along
+the supergradient M(a*(X)).  Attempts keep their index, and with it their
+rng stream, so the accepted run is the one the unskipped loop would make.
+
 The l2 subproblem is solved exactly; eps sets only the stopping rule of the
 linf SDP solver (and the trace's theoretical iteration count).
 """
@@ -31,7 +47,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +65,17 @@ from .subproblems import PsdAssignment, SdpConvergenceError, sdp_inf_solve, top_
 
 # slack allowed on ball-membership checks
 _FEAS_TOL = 1e-9
+
+# l2 dual ascent steps taken before each doubling attempt but the last
+_DUAL_STEPS = 4
+# relative margin by which the dual bound must exceed p to rule p out: it
+# covers the rounding of the bound and of the eigensolve behind f_t
+_DUAL_MARGIN = 1e-9
+# weight of the identity mixed into each dual point, so that every block
+# X_AA of a least-squares solve has eigenvalues of at least this
+_DUAL_MIX = 1e-6
+# floats per batch of gathered (k, k) blocks X_AA
+_DUAL_BATCH = 1 << 14
 
 
 class InfeasibleBallError(ValueError):
@@ -112,6 +139,19 @@ class BallGeometry:
         return self.radius**2 - self.beta
 
 
+@dataclass(frozen=True)
+class AttemptRecord:
+    """One doubling attempt: its radius parameter p, its outcome
+    (``infeasible``, ``ruled-out``, ``rejected`` or ``accepted``), the best
+    value of its run (None when nothing ran) and the l2 dual bound when the
+    attempt was decided (None in the linf regime)."""
+
+    p: float
+    outcome: str
+    best_value: float | None
+    dual_bound: float | None
+
+
 @dataclass
 class OgdTrace:
     """Per-iteration record of one run plus summary diagnostics.
@@ -120,8 +160,12 @@ class OgdTrace:
     G = 2 n r / m and diameter D = 2 r, both measured in the ball's
     probability-weighted norm.  The l2 subproblem is exact, but the linf SDP
     solver stops on a per-sweep gain rule that does not bound its distance
-    to the optimum, so the bound is an assumption-tagged diagnostic, not a
-    certificate (see notes).
+    to the optimum, so in the linf regime the bound is an assumption-tagged
+    diagnostic, not a certificate (see notes).
+
+    ``run_with_doubling`` fills ``attempts``, one record per doubling
+    attempt, and in the l2 regime ``dual_bound``, the best g(X) it reached:
+    a lower bound on n lambda_max(M(a)) for every semilinear a.
     """
 
     regime: str
@@ -137,6 +181,8 @@ class OgdTrace:
     theoretical_t: float
     regret_bound: float
     notes: tuple[str, ...] = ()
+    attempts: tuple[AttemptRecord, ...] = ()
+    dual_bound: float | None = None
 
 
 def ball_geometry(dist: SampleTargetDistribution, radius: float) -> BallGeometry:
@@ -308,7 +354,9 @@ def _run_single(
     # iteration (460 minor page faults per iteration at m = 2000, n = 50,
     # against 28 in place)
     grad, work = np.empty((m, n)), np.empty((m, n))
-    notes: list[str] = ["regret-bound-assumes-eps-accurate-subproblems"]
+    notes: list[str] = []
+    if cfg.regime == LINF:
+        notes.append("regret-bound-assumes-eps-accurate-subproblems")
     best_value = math.inf
     best_a = a.copy()
     best_t = 1
@@ -367,16 +415,133 @@ def _run_single(
     return best_a, trace
 
 
+def _sample_batches(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs with a nonempty sample, batched by sample size k: each batch
+    is (rows (c,), sample indices (c, k)), with c k^2 <= _DUAL_BATCH where
+    c > 1."""
+    sizes = masks.sum(axis=1)
+    # bincount, not np.unique: numpy 2.4's unique maps 1.5 MB on first use
+    counts = np.bincount(sizes)
+    counts[0] = 0
+    batches = []
+    for k in np.flatnonzero(counts):
+        rows = np.flatnonzero(sizes == k)
+        cols = np.nonzero(masks[rows])[1].reshape(rows.size, k)
+        step = max(1, _DUAL_BATCH // (k * k))
+        for s in range(0, rows.size, step):
+            batches.append((rows[s : s + step], cols[s : s + step]))
+    return batches
+
+
+def _dual_point(
+    dist: SampleTargetDistribution, batches: list, X: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """g(X) for a symmetric positive definite X, and the factor rows of its
+    supergradient M(a*(X)) = rows^T rows.
+
+    Pair i's minimizer solves X_AA u_A = (X b_i)_A on its sample set A, one
+    batched ``np.linalg.solve`` per batch of equal sample sizes, and only the
+    sample entries of a* are written.  The value is <M(a*), X> at the computed
+    a*, which is feasible, so a solve error raises it only by the second-order
+    term d^T X_AA d of the error d.
+    """
+    b = dist.target_rows
+    Xb = b @ X
+    rows = np.zeros_like(b)
+    for idx, cols in batches:
+        block = X[cols[:, :, None], cols[:, None, :]]
+        rhs = Xb[idx[:, None], cols][..., None]
+        rows[idx[:, None], cols] = np.linalg.solve(block, rhs)[..., 0]
+    rows -= b
+    rows *= np.sqrt(dist.pair_weights / dist.m)[:, None]
+    return float(np.vdot(rows @ X, rows)), rows
+
+
+def l2_dual_bound(dist: SampleTargetDistribution, X: np.ndarray) -> float:
+    """g(X) = sum_i pi_i min over u supported on A_i of (u - b_i)^T X (u - b_i).
+
+    For X symmetric positive definite with trace n this is at most
+    <M(a), X>, and so at most n lambda_max(M(a)), for every semilinear
+    estimator a.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape != (dist.n, dist.n):
+        raise ValueError(f"X must be ({dist.n}, {dist.n}), got {X.shape}")
+    return _dual_point(dist, _sample_batches(dist.sample_mask), X)[0]
+
+
+class _L2Dual:
+    """Matrix exponentiated gradient ascent on the l2 dual bound g.
+
+    The point is X = (1 - mix) n exp(S) / tr exp(S) + mix I, where S sums
+    the supergradients M(a*(X)) met, each scaled to spectral norm 2 / sqrt(t)
+    for the t-th.  It starts at S = 0, X = I, where a* is the projected
+    target and g(I) = beta / m needs no solve.  Each supergradient is added
+    to S as soon as it is found, so that S is the only (n, n) array kept
+    between steps.  ``value`` is the best g seen.
+    """
+
+    def __init__(self, dist: SampleTargetDistribution):
+        self.dist = dist
+        self.batches = _sample_batches(dist.sample_mask)
+        b = dist.target_rows
+        rows = (np.where(dist.sample_mask, b, 0.0) - b) * np.sqrt(
+            dist.pair_weights / dist.m
+        )[:, None]
+        self.floor = float(np.vdot(rows, rows))
+        self.value = self.floor
+        self.S = np.zeros((dist.n, dist.n))
+        self.steps = 0
+        self._add(rows)
+
+    def _add(self, rows: np.ndarray) -> None:
+        """S += the supergradient rows^T rows scaled to norm 2 / sqrt(t)."""
+        # lambda_max from the smaller Gram, as top_eigen takes it
+        gram = rows @ rows.T if rows.shape[0] < rows.shape[1] else rows.T @ rows
+        lam = np.linalg.eigh(gram)[0][-1]
+        self.moving = lam > 0.0
+        if self.moving:
+            self.steps += 1
+            self.S += (2.0 / (lam * math.sqrt(self.steps))) * (rows.T @ rows)
+
+    def rules_out(self, p: float) -> bool:
+        return self.value > p * (1.0 + _DUAL_MARGIN)
+
+    def raise_above(self, p: float) -> None:
+        """Take up to _DUAL_STEPS ascent steps, stopping once p is ruled out."""
+        n = self.dist.n
+        for _ in range(_DUAL_STEPS):
+            if self.rules_out(p) or not self.moving:
+                return
+            s, Q = np.linalg.eigh(self.S)
+            w = np.exp(s - s[-1])
+            Q *= np.sqrt((1.0 - _DUAL_MIX) * n / w.sum() * w)
+            # each (n, n) temporary is freed before the next is made, which
+            # keeps the resident peak down at large n
+            X = Q @ Q.T  # an exactly symmetric product
+            del Q
+            X.flat[:: n + 1] += _DUAL_MIX
+            value, rows = _dual_point(self.dist, self.batches, X)
+            del X
+            self.value = max(self.value, value)
+            self._add(rows)
+
+
 def run_with_doubling(
     dist: SampleTargetDistribution, cfg: OgdConfig
 ) -> tuple[SemilinearEstimator, OgdTrace, float]:
     """Grow p geometrically until the best objective is at most p.
 
     Runs are independent (fresh initialization and rng per p).  Infeasible
-    radii (r^2 < beta) are skipped by doubling.  If the doubling cap is
-    exhausted the best run seen is returned with a diagnostic note; if every
+    radii (r^2 < beta) are skipped by doubling.  In the l2 regime a radius
+    that the dual bound rules out (see the module docstring) is skipped
+    without running, except at the last attempt, which always runs.  If the
+    doubling cap is exhausted the best run seen is returned with a
+    diagnostic note; ruled-out radii never ran, so it is the best of the
+    runs made, which may differ from the best of all radii.  If every
     radius was infeasible, the last infeasibility error is raised.  With
-    ``p_doublings_max=0`` this is one run at ``p_init``.
+    ``p_doublings_max=0`` this is one run at ``p_init``.  Attempt k runs
+    with ``run_index=k`` whether or not earlier attempts ran.
     """
     n = dist.n
     p = cfg.p_init if cfg.p_init is not None else 1.0 / n
@@ -385,27 +550,53 @@ def run_with_doubling(
         if cfg.p_doublings_max is not None
         else math.ceil(math.log2(n)) + 2
     )
+    dual = _L2Dual(dist) if cfg.regime == L2 else None
+    records: list[AttemptRecord] = []
     best: tuple[np.ndarray, OgdTrace, float] | None = None
     last_infeasible: InfeasibleBallError | None = None
     for attempt in range(cap + 1):
+        # below g(I) = beta / m the ball is empty or a point: run as is
+        if dual is not None and attempt < cap and p >= dual.floor:
+            dual.raise_above(p)
+            if dual.rules_out(p):
+                records.append(AttemptRecord(p, "ruled-out", None, dual.value))
+                p *= 2.0
+                continue
+        bound = None if dual is None else dual.value
         try:
             a_dense, trace = _run_single(dist, cfg, p, run_index=attempt)
         except InfeasibleBallError as exc:
+            records.append(AttemptRecord(p, "infeasible", None, bound))
             last_infeasible = exc
             p *= 2.0
             continue
+        if trace.best_value <= p:
+            records.append(AttemptRecord(p, "accepted", trace.best_value, bound))
+            trace.notes = trace.notes + ("accepted",)
+            return _fit(dist, (a_dense, trace, p), records, dual)
+        records.append(AttemptRecord(p, "rejected", trace.best_value, bound))
         if best is None or trace.best_value < best[1].best_value:
             best = (a_dense, trace, p)
-        if trace.best_value <= p:
-            trace.notes = trace.notes + ("accepted",)
-            return estimator_from_dense(dist, a_dense), trace, p
         p *= 2.0
     if best is None:
         assert last_infeasible is not None
         raise last_infeasible
-    a_dense, trace, p_used = best
-    trace.notes = trace.notes + ("doubling-cap-exhausted",)
-    return estimator_from_dense(dist, a_dense), trace, p_used
+    best[1].notes = best[1].notes + ("doubling-cap-exhausted",)
+    return _fit(dist, best, records, dual)
+
+
+def _fit(
+    dist: SampleTargetDistribution,
+    run: tuple[np.ndarray, OgdTrace, float],
+    records: list[AttemptRecord],
+    dual: _L2Dual | None,
+) -> tuple[SemilinearEstimator, OgdTrace, float]:
+    """The doubling's result from its chosen run, with the attempt records
+    and the final dual bound attached to the run's trace."""
+    a_dense, trace, p = run
+    trace.attempts = tuple(records)
+    trace.dual_bound = None if dual is None else dual.value
+    return estimator_from_dense(dist, a_dense), trace, p
 
 
 def write_trace_csv(trace: OgdTrace, path: str | Path) -> None:
@@ -437,7 +628,10 @@ def trace_summary(trace: OgdTrace, p_final: float | None = None) -> dict:
         "theoretical_t": trace.theoretical_t,
         "regret_bound": trace.regret_bound,
         "notes": list(trace.notes),
+        "attempts": [asdict(rec) for rec in trace.attempts],
     }
+    if trace.dual_bound is not None:
+        out["dual_bound"] = trace.dual_bound
     if p_final is not None:
         out["p_final"] = p_final
     return out

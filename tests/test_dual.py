@@ -1,0 +1,288 @@
+"""The l2 dual bound and the radius doubling that skips what it rules out.
+
+g(X) = sum_i pi_i min over u on A_i of (u - b_i)^T X (u - b_i) is a lower
+bound on <M(a), X>, and so on n lambda_max(M(a)), for every semilinear a
+and every PSD X with trace n.  ``run_with_doubling`` skips an l2 radius p
+once g(X) > p, which may change no output: ``reference_run_with_doubling``
+below is the loop without the skip, kept as the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import make_dist, random_dist
+from wcmean.collectors import gen_importance, gen_selective, gen_snowball
+from wcmean.core import (
+    L2,
+    LINF,
+    SampleTargetDistribution,
+    build_loss_matrix,
+    estimator_from_dense,
+)
+from wcmean import optimizer
+from wcmean.optimizer import (
+    InfeasibleBallError,
+    OgdConfig,
+    _L2Dual,
+    _run_single,
+    ball_geometry,
+    l2_dual_bound,
+    radius_for,
+    run_with_doubling,
+    trace_summary,
+)
+
+
+def reference_run_with_doubling(dist, cfg):
+    """The doubling loop without the dual skip: every radius runs."""
+    p = cfg.p_init if cfg.p_init is not None else 1.0 / dist.n
+    cap = (
+        cfg.p_doublings_max
+        if cfg.p_doublings_max is not None
+        else math.ceil(math.log2(dist.n)) + 2
+    )
+    best = None
+    last_infeasible = None
+    for attempt in range(cap + 1):
+        try:
+            a_dense, trace = _run_single(dist, cfg, p, run_index=attempt)
+        except InfeasibleBallError as exc:
+            last_infeasible = exc
+            p *= 2.0
+            continue
+        if best is None or trace.best_value < best[1].best_value:
+            best = (a_dense, trace, p)
+        if trace.best_value <= p:
+            return a_dense, trace, p
+        p *= 2.0
+    if best is None:
+        raise last_infeasible
+    return best
+
+
+def reference_dual(dist, X):
+    """g(X) pair by pair, each minimizer from np.linalg.pinv."""
+    b = dist.target_rows
+    total = 0.0
+    for i, pair in enumerate(dist.pairs):
+        A = list(pair.sample)
+        u = np.zeros(dist.n)
+        if A:
+            u[A] = np.linalg.pinv(X[np.ix_(A, A)]) @ (X @ b[i])[A]
+        r = u - b[i]
+        total += dist.pair_weights[i] / dist.m * (r @ X @ r)
+    return total
+
+
+def random_trace_n(rng, n):
+    """Random symmetric positive definite X with trace n."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = rng.exponential(size=n) + 0.05
+    X = (Q * (n * lam / lam.sum())) @ Q.T
+    return (X + X.T) / 2
+
+
+def weighted(dist, rng):
+    probs = rng.random(dist.m) + 0.1
+    return SampleTargetDistribution(dist.n, dist.pairs, tuple(probs / probs.sum()))
+
+
+def bound_cases():
+    rng = np.random.default_rng(90)
+    cases = {
+        "random": random_dist(rng, 7, 12),
+        "empty-samples": random_dist(rng, 6, 15, allow_empty=True),
+        "all-empty": make_dist(5, [([], [0, 1]), ([], [2, 3, 4])]),
+        "single-pair": make_dist(6, [([1, 4], [0, 1, 2])]),
+        "weighted": weighted(random_dist(rng, 8, 10), rng),
+        "overlap": make_dist(6, [([0, 1, 2], [1, 2, 3]), ([2, 3], [2, 3]), ([4], [0, 4, 5])]),
+        # a short sample holding column 0 among longer ones, and a long
+        # one holding it among shorter ones: the rows a padded scatter
+        # would overwrite at column 0
+        "column-0": make_dist(
+            7,
+            [([0, 5], [1, 2]), ([1, 2, 3, 4], [0]), ([0, 2, 4, 6], [3]), ([3], [0, 6]), ([6], [5])],
+        ),
+        "importance": gen_importance(n=20, split=10, m=30, seed=4)[0],
+    }
+    return cases
+
+
+@pytest.mark.parametrize("name", list(bound_cases()))
+def test_dual_bound_matches_pinv_and_bounds_every_estimator(name):
+    dist = bound_cases()[name]
+    rng = np.random.default_rng(91)
+    for _ in range(5):
+        X = random_trace_n(rng, dist.n)
+        g = l2_dual_bound(dist, X)
+        ref = reference_dual(dist, X)
+        assert abs(g - ref) <= 1e-10 * max(abs(ref), 1e-300), (g, ref)
+        for scale in (0.0, 0.3, 3.0):
+            arr = np.where(dist.sample_mask, scale * rng.standard_normal((dist.m, dist.n)), 0.0)
+            M = build_loss_matrix(estimator_from_dense(dist, arr), dist).dense
+            inner = float(np.sum(M * X))
+            top = dist.n * np.linalg.eigvalsh(M)[-1]
+            assert g <= inner * (1 + 1e-12) + 1e-15
+            assert inner <= top * (1 + 1e-12) + 1e-15
+
+
+def test_dual_bound_at_identity_is_the_infeasibility_threshold():
+    rng = np.random.default_rng(92)
+    for dist in (random_dist(rng, 6, 9, allow_empty=True), weighted(random_dist(rng, 5, 7), rng)):
+        beta = ball_geometry(dist, 1.0).beta
+        assert l2_dual_bound(dist, np.eye(dist.n)) == pytest.approx(beta / dist.m, rel=1e-12)
+        assert _L2Dual(dist).floor == pytest.approx(beta / dist.m, rel=1e-12)
+
+
+def test_dual_ascent_stays_below_every_fit():
+    # the ascent's best value is a lower bound on every iterate's f_t
+    dist = gen_importance(n=30, split=15, m=60, seed=2)[0]
+    dual = _L2Dual(dist)
+    start = dual.value
+    for k in range(6):
+        dual.raise_above(2.0**k / dist.n)
+    assert dual.steps > 0 and dual.value > start
+    _, trace, _ = reference_run_with_doubling(dist, OgdConfig(regime=L2, t_max=30, seed=1))
+    assert dual.value <= float(np.min(trace.f_t))
+
+
+def test_dual_rejects_wrong_shape():
+    dist = make_dist(3, [([0], [1, 2])])
+    with pytest.raises(ValueError):
+        l2_dual_bound(dist, np.eye(4))
+
+
+def skip_cases():
+    rng = np.random.default_rng(93)
+    snowball = gen_snowball(n=30, k=12, m=60, seed=1)[0]
+    return {
+        "importance": (gen_importance(n=50, split=25, m=150, seed=0)[0], 60),
+        "snowball": (snowball, 40),
+        "selective": (gen_selective(), 40),
+        "weighted": (weighted(gen_importance(n=24, split=12, m=40, seed=5)[0], rng), 40),
+        "empty-samples": (random_dist(rng, 8, 12, allow_empty=True), 30),
+        "all-empty": (make_dist(4, [([], [0, 1]), ([], [2, 3]), ([], [1])]), 10),
+        "single-pair": (make_dist(6, [([0, 2, 3], [1, 2, 5])]), 30),
+    }
+
+
+def assert_same_fit(dist, cfg):
+    ref_a, ref_trace, ref_p = reference_run_with_doubling(dist, cfg)
+    est, trace, p = run_with_doubling(dist, cfg)
+    np.testing.assert_array_equal(est.dense(), ref_a)
+    assert trace.best_value == ref_trace.best_value
+    assert trace.best_t == ref_trace.best_t
+    assert p == ref_p
+    np.testing.assert_array_equal(trace.f_t, ref_trace.f_t)
+    return trace
+
+
+@pytest.mark.parametrize(
+    "name, regime",
+    [(name, L2) for name in skip_cases()]
+    + [(name, LINF) for name in ("selective", "weighted", "empty-samples", "all-empty", "single-pair")],
+)
+def test_skipping_changes_no_output(name, regime):
+    dist, t_max = skip_cases()[name]
+    trace = assert_same_fit(dist, OgdConfig(regime=regime, t_max=t_max, seed=2))
+    outcomes = [rec.outcome for rec in trace.attempts]
+    assert outcomes[-1] == "accepted"
+    # a radius is reported infeasible exactly when its ball is empty
+    beta = ball_geometry(dist, 0.0).beta
+    for rec in trace.attempts:
+        empty = radius_for(regime, dist.m, rec.p) ** 2 - beta < -1e-9
+        assert (rec.outcome == "infeasible") == empty
+    if name == "selective":
+        assert "infeasible" in outcomes
+    if regime == LINF:
+        assert "ruled-out" not in outcomes
+        assert all(rec.dual_bound is None for rec in trace.attempts)
+        assert trace.dual_bound is None
+    else:
+        assert trace.dual_bound <= trace.best_value
+    if name == "importance" and regime == L2:
+        # not vacuous: the dual skips radii on this process
+        assert outcomes.count("ruled-out") >= 1
+
+
+def test_attempt_records_follow_the_doubling(monkeypatch):
+    dist = gen_importance(n=50, split=25, m=150, seed=0)[0]
+    cfg = OgdConfig(regime=L2, t_max=20, seed=0)
+    _, trace, p_final = run_with_doubling(dist, cfg)
+    ps = [rec.p for rec in trace.attempts]
+    assert ps == [ps[0] * 2.0**k for k in range(len(ps))] and ps[-1] == p_final
+    bounds = [rec.dual_bound for rec in trace.attempts]
+    assert bounds == sorted(bounds) and trace.dual_bound >= bounds[-1]
+    for rec in trace.attempts:
+        if rec.outcome == "ruled-out":
+            assert rec.best_value is None and rec.dual_bound > rec.p
+        else:
+            assert rec.dual_bound <= rec.best_value
+    summary = trace_summary(trace, p_final)
+    assert summary["dual_bound"] == trace.dual_bound
+    assert [a["outcome"] for a in summary["attempts"]] == [rec.outcome for rec in trace.attempts]
+    assert set(summary["attempts"][0]) == {"p", "outcome", "best_value", "dual_bound"}
+    # attempt k runs with run_index k, skipped attempts before it or not
+    calls = []
+
+    def recording(dist, cfg, p, run_index):
+        calls.append((p, run_index))
+        return _run_single(dist, cfg, p, run_index)
+
+    monkeypatch.setattr(optimizer, "_run_single", recording)
+    run_with_doubling(dist, cfg)
+    assert calls and all(ps.index(p) == k for p, k in calls)
+    monkeypatch.undo()
+    # deterministic, the records included
+    _, again, _ = run_with_doubling(dist, cfg)
+    assert again.attempts == trace.attempts and again.notes == trace.notes
+
+
+def test_regret_note_only_in_linf():
+    dist = random_dist(np.random.default_rng(94), 5, 8)
+    traces = {
+        regime: run_with_doubling(dist, OgdConfig(regime=regime, t_max=5, p_doublings_max=0))[1]
+        for regime in (L2, LINF)
+    }
+    assert "regret-bound-assumes-eps-accurate-subproblems" not in traces[L2].notes
+    assert "regret-bound-assumes-eps-accurate-subproblems" in traces[LINF].notes
+    assert "dual_bound" in trace_summary(traces[L2])
+    assert "dual_bound" not in trace_summary(traces[LINF])
+
+
+def test_cap_exhausted_runs_the_last_radius():
+    """With the cap exhausted, ruled-out radii never ran, so the fit returned
+    is the best of the runs made; the last radius always runs.  Here every
+    radius but the last is ruled out, and the last is rejected: the result is
+    the reference's last run, which is also the reference's best."""
+    dist = gen_importance(n=50, split=25, m=150, seed=0)[0]
+    cfg = OgdConfig(regime=L2, t_max=20, seed=4, p_init=0.015, p_doublings_max=2)
+    est, trace, p = run_with_doubling(dist, cfg)
+    assert [rec.outcome for rec in trace.attempts] == ["ruled-out", "ruled-out", "rejected"]
+    assert p == 0.06 and "doubling-cap-exhausted" in trace.notes
+    last_a, last_trace = _run_single(dist, cfg, 0.06, run_index=2)
+    np.testing.assert_array_equal(est.dense(), last_a)
+    np.testing.assert_array_equal(trace.f_t, last_trace.f_t)
+    ref_a, ref_trace, ref_p = reference_run_with_doubling(dist, cfg)
+    assert ref_p == p
+    np.testing.assert_array_equal(ref_a, last_a)
+
+
+def test_single_attempt_is_never_skipped():
+    # p_doublings_max = 0: the one radius is also the last, so it runs
+    dist = gen_importance(n=50, split=25, m=150, seed=0)[0]
+    cfg = OgdConfig(regime=L2, t_max=10, p_doublings_max=0)
+    _, trace, _ = run_with_doubling(dist, cfg)
+    assert [rec.outcome for rec in trace.attempts] == ["rejected"]
+
+
+@pytest.mark.parametrize("regime", [L2, LINF])
+def test_all_infeasible_radii_still_raise(regime):
+    dist = gen_selective()
+    cfg = OgdConfig(regime=regime, t_max=5, p_init=1e-4, p_doublings_max=2)
+    with pytest.raises(InfeasibleBallError):
+        reference_run_with_doubling(dist, cfg)
+    with pytest.raises(InfeasibleBallError):
+        run_with_doubling(dist, cfg)
