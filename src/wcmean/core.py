@@ -13,6 +13,7 @@ vector, each weighted by its pair probability.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -84,14 +85,22 @@ class SampleTargetDistribution:
         if len(self.pairs) < 1:
             raise ValueError("at least one (sample, target) pair is required")
         canonical = []
+        # pairs often share one target object, canonicalised once
+        last_raw, last_target = object(), ()
         for i, pair in enumerate(self.pairs):
-            sample = tuple(sorted(set(int(j) for j in pair.sample)))
-            target = tuple(sorted(set(int(j) for j in pair.target)))
+            sample = tuple(sorted(set(map(int, pair.sample))))
+            if pair.target is last_raw:
+                target = last_target
+            else:
+                target = tuple(sorted(set(map(int, pair.target))))
             if not target:
                 raise ValueError(f"pair {i}: target set is empty")
-            for j in sample + target:
-                if not 0 <= j < self.n:
+            # sorted, so the ends show any index outside [0, n)
+            for idx in (sample, target):
+                if idx and (idx[0] < 0 or idx[-1] >= self.n):
+                    j = idx[0] if idx[0] < 0 else idx[bisect.bisect_left(idx, self.n)]
                     raise ValueError(f"pair {i}: index {j} outside [0, {self.n})")
+            last_raw, last_target = pair.target, target
             canonical.append(IndexPair(sample, target))
         object.__setattr__(self, "pairs", tuple(canonical))
         if self.probs is not None:

@@ -126,6 +126,18 @@ def test_generate_rejects_bad_windows(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_generate_snowball_redraw_that_cannot_grow_is_usage_error(runner, tmp_path):
+    out = tmp_path / "d.json"
+    args = ["--n", "40", "--k", "7", "--neighbors", "4", "--recruit", "1", "--graph", "mutual"]
+    result = runner.invoke(
+        main,
+        ["generate", "snowball", "--out", str(out), *args, "--stall", "redraw", "--m", "120", "--seed", "0"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "start vertex 4" in result.output
+    assert not out.exists()
+
+
 def test_generate_determinism(runner, tmp_path):
     a = gen(runner, tmp_path, "snowball")
     text_a = a.read_text()

@@ -1,12 +1,24 @@
 """Process generators: postconditions, determinism, edge cases."""
 
+import itertools
 import json
+from collections import deque
 
 import numpy as np
 import pytest
 
-from wcmean.collectors import gen_importance, gen_selective, gen_snowball
+from wcmean.collectors import (
+    _MAX_REGROWTHS,
+    _Draws,
+    _reachable_count,
+    _recruitment_lists,
+    gen_importance,
+    gen_selective,
+    gen_snowball,
+)
 from wcmean.core import (
+    IndexPair,
+    SampleTargetDistribution,
     SchemaError,
     distribution_to_dict,
     load_distribution_file,
@@ -128,6 +140,147 @@ def test_snowball_fixed_start_shares_first_vertex():
     for p in dist.pairs[1:]:
         commons &= set(p.sample)
     assert commons  # the fixed start is in every draw
+
+
+def test_snowball_redraw_from_a_start_that_cannot_grow_fails():
+    # vertex 4 reaches 7 vertices over all its mutual links, but a FIFO
+    # growth recruiting one of them at a time never collects 7
+    with pytest.raises(ValueError, match=rf"start vertex 4 .* {_MAX_REGROWTHS} attempts"):
+        gen_snowball(n=40, k=7, num_neighbors=4, recruit=1, m=120, seed=0, graph="mutual", stall="redraw")
+
+
+# ── bit-identity with numpy's draws ──────────────────────────────────
+
+
+def reference_gen_snowball(n, k, num_neighbors, recruit, m, seed, graph, traversal, start, stall):
+    """The generator as it drew through ``Generator.integers`` and ``choice``.
+
+    It has no regrowth cap: run it only on inputs it finishes.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    nbrs = _recruitment_lists(points, num_neighbors, graph)
+    if stall == "redraw":
+        viable = [v for v in range(n) if _reachable_count(nbrs, v) >= k]
+        if not viable:
+            raise ValueError("no start vertex can reach k members; redraw would loop")
+    else:
+        viable = list(range(n))
+
+    def pick_start():
+        return viable[int(rng.integers(len(viable)))]
+
+    def grow_once(s):
+        included = {s}
+        queue = deque([s])
+        while len(included) < k:
+            if traversal == "fifo":
+                if not queue:
+                    if stall == "redraw":
+                        return None
+                    fresh = [v for v in range(n) if v not in included]
+                    v = int(fresh[rng.integers(len(fresh))])
+                    included.add(v)
+                    queue.append(v)
+                    continue
+                recruiters = [queue.popleft()]
+            else:
+                recruiters = sorted(included)
+            grew = False
+            for recruiter in recruiters:
+                cands = nbrs[recruiter]
+                if len(cands) == 0:
+                    continue
+                picks = rng.choice(cands, size=min(recruit, len(cands)), replace=False)
+                for u in picks:
+                    u = int(u)
+                    if u not in included:
+                        included.add(u)
+                        queue.append(u)
+                        grew = True
+                        if len(included) == k:
+                            return included
+            if traversal == "rounds" and not grew:
+                if stall == "redraw":
+                    return None
+                fresh = [v for v in range(n) if v not in included]
+                v = int(fresh[rng.integers(len(fresh))])
+                included.add(v)
+                queue.append(v)
+        return included
+
+    def draw(s):
+        while True:
+            got = grow_once(s)
+            if got is not None:
+                return got
+
+    full = tuple(range(n))
+    fixed_start = pick_start() if start == "fixed" else None
+    pairs = []
+    for _ in range(m):
+        s = fixed_start if fixed_start is not None else pick_start()
+        pairs.append(IndexPair(tuple(sorted(draw(s))), full))
+    return SampleTargetDistribution(n, tuple(pairs)), points
+
+
+READINGS = list(
+    itertools.product(("directed", "mutual"), ("fifo", "rounds"), ("perdraw", "fixed"), ("fresh", "redraw"))
+)
+
+
+# (n, k, num_neighbors, recruit, m): k = 1, k = n, recruit = neighbors,
+# one recruit, and the tables' n, k, neighbours and recruits
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (20, 8, 5, 2, 40),
+        (20, 1, 3, 2, 40),
+        (12, 12, 3, 2, 40),
+        (20, 6, 4, 4, 40),
+        (20, 5, 4, 1, 40),
+        (30, 10, 6, 3, 40),
+        (50, 25, 5, 2, 30),
+    ],
+)
+def test_snowball_draws_match_numpy_generator_calls(shape):
+    for seed, (graph, traversal, start, stall) in itertools.product(range(3), READINGS):
+        kw = dict(seed=seed, graph=graph, traversal=traversal, start=start, stall=stall)
+        try:
+            dist, points = gen_snowball(*shape, **kw)
+        except ValueError as exc:
+            # only a start set that cannot reach k is refused on these inputs
+            assert "no start vertex" in str(exc)
+            with pytest.raises(ValueError, match="no start vertex"):
+                reference_gen_snowball(*shape, **kw)
+            continue
+        ref_dist, ref_points = reference_gen_snowball(*shape, **kw)
+        assert dist == ref_dist, (shape, kw)
+        np.testing.assert_array_equal(points, ref_points)
+
+
+def test_draws_match_generator_integers_and_choice():
+    # interleaved on one stream, so a draw too many or too few shows in every later call
+    highs = (1, 2, 3, 5, 7, 12, 1000, 2**31 + 7, 2**32 - 1, 2**32)
+    for seed in range(20):
+        ref, draws = np.random.default_rng(seed), _Draws(np.random.default_rng(seed))
+        for pop in range(1, 13):
+            for size in range(pop + 1):
+                assert draws.choice(pop, size) == ref.choice(pop, size, replace=False).tolist()
+                high = highs[(pop + size) % len(highs)]
+                assert draws.bounded(high - 1) == int(ref.integers(high))
+
+
+@pytest.mark.parametrize(
+    "pop, size",
+    # numpy's tail shuffle serves pop > 10 000 with size > pop // 50, Floyd the rest
+    [(10_000, 9_000), (10_001, 200), (10_001, 201), (20_000, 400), (20_000, 401), (10_001, 10_001)],
+)
+def test_draws_match_generator_choice_on_large_populations(pop, size):
+    ref, draws = np.random.default_rng(5), _Draws(np.random.default_rng(5))
+    for _ in range(2):
+        assert draws.choice(pop, size) == ref.choice(pop, size, replace=False).tolist()
+    assert draws.bounded(pop) == int(ref.integers(pop + 1))
 
 
 # ── selective prediction ─────────────────────────────────────────────

@@ -52,6 +52,34 @@ def test_dist_rejects_out_of_range_index():
         make_dist(3, [([0, 3], [1])])
 
 
+@pytest.mark.parametrize(
+    "sample, target, message",
+    [
+        ([3, -2, -5], [0], "pair 1: index -5 outside [0, 4)"),
+        ([6, 1, 4, 9], [0], "pair 1: index 4 outside [0, 4)"),
+        ([1], [2, 5, 4], "pair 1: index 4 outside [0, 4)"),
+        ([7], [-1], "pair 1: index 7 outside [0, 4)"),
+        ([-1], [], "pair 1: target set is empty"),
+    ],
+)
+def test_dist_names_the_first_bad_index(sample, target, message):
+    # the smallest offender, sample before target, as the sorted sets are scanned
+    with pytest.raises(ValueError) as err:
+        make_dist(4, [([0], [1]), (sample, target)])
+    assert str(err.value) == message
+
+
+def test_dist_canonicalizes_a_shared_target_for_every_pair():
+    target = (3, 1, np.int64(1))
+    pairs = (IndexPair((2, 0), target), IndexPair((1,), target), IndexPair((), (1, 3)), IndexPair((3,), target))
+    dist = SampleTargetDistribution(4, pairs)
+    assert [p.target for p in dist.pairs] == [(1, 3)] * 4
+    assert all(type(j) is int for p in dist.pairs for j in p.target)
+    assert [p.sample for p in dist.pairs] == [(0, 2), (1,), (), (3,)]
+    with pytest.raises(ValueError, match="pair 1: index 4 outside"):
+        SampleTargetDistribution(4, (IndexPair((0,), (1,)), IndexPair((0,), (4, 1)), IndexPair((0,), (4, 1))))
+
+
 def test_dist_canonicalizes_duplicates_and_order():
     # direct construction canonicalizes; strict rejection is the loader's job
     dist = make_dist(3, [([2, 0, 0], [1])])

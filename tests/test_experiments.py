@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from conftest import make_dist
+from wcmean.core import estimator_from_dense, fixed_data_error
 from wcmean.experiments import (
     EXPERIMENTS,
     average_results,
     run_experiment,
     spatial_values,
     synthetic_values,
+    worst_case_cell,
     write_experiment_csv,
 )
 
@@ -128,3 +131,50 @@ def test_write_experiment_csv(tmp_path, importance_result):
     assert float(first[1]) == pytest.approx(
         importance_result.cells["constant"]["reweighting"], abs=1e-6
     )
+
+
+# ── worst-case cells on rank-one loss matrices ───────────────────────
+#
+# When every pair has the same residual v = a - b, M = v v^T.  Then the
+# l2 cell is n ||v||^2, and the linf cell is ||v||_1^2: a rank-one SDP
+# over unit diagonals is maximised by the sign vector of v.
+
+
+def rank_one_cases():
+    single = make_dist(6, [([1, 4], [0, 1, 2])])
+    weights = np.zeros((1, 6))
+    weights[0, [1, 4]] = [0.7, -0.4]
+    # all samples empty, all targets {0, 2, 3}: a = 0 and v = -b
+    empty = make_dist(5, [([], [0, 2, 3])] * 4)
+    return {
+        "single-pair": (single, weights),
+        "all-empty": (empty, np.zeros((4, 5))),
+    }
+
+
+@pytest.mark.parametrize("name", ["single-pair", "all-empty"])
+@pytest.mark.parametrize("eps", [0.01, 0.1])
+def test_worst_case_cells_match_rank_one_closed_forms(name, eps):
+    dist, weights = rank_one_cases()[name]
+    est = estimator_from_dense(dist, weights)
+    v = weights[0] - dist.target_rows[0]
+    l2 = dist.n * float(v @ v)
+    linf = float(np.abs(v).sum()) ** 2
+
+    assert worst_case_cell(est, dist, "worst_l2", eps, np.random.default_rng(0)) == pytest.approx(l2, rel=1e-9)
+    # the SDP solver promises a value within a factor 1 + eps/10 below the optimum
+    got = worst_case_cell(est, dist, "worst_linf", eps, np.random.default_rng(0))
+    assert linf / (1 + eps / 10) <= got <= linf * (1 + 1e-9)
+    # the adversaries attaining both values
+    signs = np.sign(v)
+    assert fixed_data_error(est, dist, signs) == pytest.approx(linf, rel=1e-12)
+    assert fixed_data_error(est, dist, np.sqrt(dist.n) * v / np.linalg.norm(v)) == pytest.approx(l2, rel=1e-12)
+
+
+def test_all_empty_closed_forms_are_one_and_n_over_target_size():
+    dist, weights = rank_one_cases()["all-empty"]
+    est = estimator_from_dense(dist, weights)
+    rng = np.random.default_rng(3)
+    # ||b||_1 = 1 and ||b||^2 = 1/|B| for the target-averaging vector b
+    assert worst_case_cell(est, dist, "worst_l2", 0.01, rng) == pytest.approx(5 / 3, rel=1e-9)
+    assert 1 / (1 + 0.01 / 10) <= worst_case_cell(est, dist, "worst_linf", 0.01, rng) <= 1 + 1e-9
