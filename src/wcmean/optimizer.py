@@ -22,24 +22,37 @@ projected back radially, and the best iterate by observed objective is
 returned.  An outer doubling scheme grows the radius parameter p until the
 achieved objective is at most p.
 
-In the l2 regime the doubling skips the radii that a dual lower bound rules
-out.  For PSD X with tr X = n let
+The doubling skips the radii that a dual lower bound rules out.  For PSD
+X with tr X = n let
 
     g(X) = sum_i pi_i min over u supported on A_i of (u - b_i)^T X (u - b_i),
 
 one least-squares solve per pair.  For every semilinear a, inside the ball
-or not, g(X) <= <M(a), X> <= n lambda_max(M(a)).  Every iterate's f_t is
-n lambda_max(M(a_t)) from an exact eigensolve, so once g(X) > p (with a
-1e-9 relative margin for rounding) the attempt at p would end with
-best_value > p and be rejected: it is skipped without running.  X = I
-gives g(I) = beta / m, the l2 infeasibility threshold itself, and before
-each attempt but the last a few matrix exponentiated gradient steps
-(Tsuda, Raetsch & Warmuth 2005; Arora & Kale 2007) raise the bound along
-the supergradient M(a*(X)).  Attempts keep their index, and with it their
-rng stream, so the accepted run is the one the unskipped loop would make.
+or not, g(X) <= <M(a), X>.  X = I gives g(I) = beta / m, and before each
+attempt but the last a few matrix exponentiated gradient steps (Tsuda,
+Raetsch & Warmuth 2005; Arora & Kale 2007) raise the bound along the
+supergradient M(a*(X)).  A feasible radius p is skipped without running
+once the regime's bound exceeds p (with a 1e-9 relative margin for
+rounding):
+
+* l2: g(X) <= n lambda_max(M(a)), and every iterate's f_t is
+  n lambda_max(M(a_t)) from an exact eigensolve, so the attempt at p would
+  end with best_value > p and be rejected.
+* linf: the same ascent's point, rescaled to X' = D^{-1/2} X D^{-1/2} with
+  D = diag(X), has unit diagonal, so g(X') <= <M(a), X'> <= SDP_inf(M(a)).
+  g(X') is a second right-hand side of the same solves.  The skip is sound
+  relative to the SDP value, not to the solver's: an attempt skipped at p
+  could only have been accepted through the SDP solver reporting less than
+  the value, which its stopping rule does not rule out.  The ascent takes
+  t_max // 20 steps per attempt here, and when that is zero no bound is
+  built.
+
+Attempts keep their index, and with it their rng stream, so the accepted
+run is the one the unskipped loop would make (in linf, barring such an
+under-reported acceptance).
 
 The l2 subproblem is solved exactly; eps sets only the stopping rule of the
-linf SDP solver (and the trace's theoretical iteration count).
+linf SDP solver.
 """
 
 from __future__ import annotations
@@ -66,10 +79,12 @@ from .subproblems import PsdAssignment, SdpConvergenceError, sdp_inf_solve, top_
 # slack allowed on ball-membership checks
 _FEAS_TOL = 1e-9
 
-# l2 dual ascent steps taken before each doubling attempt but the last
+# dual ascent steps taken before each doubling attempt but the last: a
+# fixed number in the l2 regime, and t_max // _LINF_DUAL_RATIO in linf
 _DUAL_STEPS = 4
+_LINF_DUAL_RATIO = 20
 # relative margin by which the dual bound must exceed p to rule p out: it
-# covers the rounding of the bound and of the eigensolve behind f_t
+# covers the rounding of the bound and of the eigensolve behind the l2 f_t
 _DUAL_MARGIN = 1e-9
 # weight of the identity mixed into each dual point, so that every block
 # X_AA of a least-squares solve has eigenvalues of at least this
@@ -95,9 +110,8 @@ class OgdConfig:
 
     p_init defaults to 1/n and p_doublings_max to ceil(log2 n) + 2 when
     left as None; p_doublings_max = 0 makes one run at radius parameter
-    p_init.  eps sets the stopping rule of the linf SDP solver and the
-    trace's theoretical iteration count; the l2 subproblem is solved
-    exactly and does not depend on it.
+    p_init.  eps sets the stopping rule of the linf SDP solver; the l2
+    subproblem is solved exactly and does not depend on it.
     """
 
     regime: str
@@ -143,8 +157,8 @@ class BallGeometry:
 class AttemptRecord:
     """One doubling attempt: its radius parameter p, its outcome
     (``infeasible``, ``ruled-out``, ``rejected`` or ``accepted``), the best
-    value of its run (None when nothing ran) and the l2 dual bound when the
-    attempt was decided (None in the linf regime)."""
+    value of its run (None when nothing ran) and the regime's dual bound
+    when the attempt was decided (None when no bound was built)."""
 
     p: float
     outcome: str
@@ -156,16 +170,13 @@ class AttemptRecord:
 class OgdTrace:
     """Per-iteration record of one run plus summary diagnostics.
 
-    The regret bound reported is 3 G D / (2 sqrt(T)) for gradient bound
-    G = 2 n r / m and diameter D = 2 r, both measured in the ball's
-    probability-weighted norm.  The l2 subproblem is exact, but the linf SDP
-    solver stops on a per-sweep gain rule that does not bound its distance
-    to the optimum, so in the linf regime the bound is an assumption-tagged
-    diagnostic, not a certificate (see notes).
-
     ``run_with_doubling`` fills ``attempts``, one record per doubling
-    attempt, and in the l2 regime ``dual_bound``, the best g(X) it reached:
-    a lower bound on n lambda_max(M(a)) for every semilinear a.
+    attempt; ``dual_steps``, the dual ascent steps taken over all attempts;
+    and, when it built a dual bound, ``dual_bound``, the best bound of the
+    regime reached: for every semilinear a, a lower bound on
+    n lambda_max(M(a)) in l2 and on SDP_inf(M(a)) in linf.  The linf bound
+    is not one on the SDP solver's reported values, which can fall short of
+    the SDP value.
     """
 
     regime: str
@@ -178,23 +189,26 @@ class OgdTrace:
     elapsed_ms: np.ndarray
     best_t: int
     best_value: float
-    theoretical_t: float
-    regret_bound: float
     notes: tuple[str, ...] = ()
     attempts: tuple[AttemptRecord, ...] = ()
     dual_bound: float | None = None
+    dual_steps: int = 0
+
+
+def _projected_targets(dist: SampleTargetDistribution) -> tuple[np.ndarray, float]:
+    """proj b, the targets zeroed off their sample sets, and
+    beta = sum_i w_i ||b_i - proj b_i||^2."""
+    b = dist.target_rows
+    center = np.where(dist.sample_mask, b, 0.0)
+    return center, float(np.sum(dist.pair_weights[:, None] * (b - center) ** 2))
 
 
 def ball_geometry(dist: SampleTargetDistribution, radius: float) -> BallGeometry:
     """Build the feasible-ball data for a given radius."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    masks = dist.sample_mask
-    b = dist.target_rows
-    center = np.where(masks, b, 0.0)
-    weights = dist.pair_weights
-    beta = float(np.sum(weights[:, None] * (b - center) ** 2))
-    return BallGeometry(radius, beta, center, masks, weights)
+    center, beta = _projected_targets(dist)
+    return BallGeometry(radius, beta, center, dist.sample_mask, dist.pair_weights)
 
 
 def radius_for(regime: str, m: int, p: float) -> float:
@@ -355,8 +369,6 @@ def _run_single(
     # against 28 in place)
     grad, work = np.empty((m, n)), np.empty((m, n))
     notes: list[str] = []
-    if cfg.regime == LINF:
-        notes.append("regret-bound-assumes-eps-accurate-subproblems")
     best_value = math.inf
     best_a = a.copy()
     best_t = 1
@@ -390,13 +402,6 @@ def _run_single(
         f_arr[t - 1] = f_t
         lam_arr[t - 1] = lam
         ms_arr[t - 1] = (time.perf_counter() - tic) * 1e3
-    if cfg.regime == LINF:
-        theoretical_t = 36.0 * math.pi**2 * n**2 * p**2 / cfg.eps**2
-    else:
-        theoretical_t = 36.0 * n**2 * p**2 / cfg.eps**2
-    grad_bound = 2.0 * n * r / m
-    diameter = 2.0 * r
-    regret = 3.0 * grad_bound * diameter / (2.0 * math.sqrt(cfg.t_max))
     trace = OgdTrace(
         regime=cfg.regime,
         p=p,
@@ -408,8 +413,6 @@ def _run_single(
         elapsed_ms=ms_arr,
         best_t=best_t,
         best_value=best_value,
-        theoretical_t=theoretical_t,
-        regret_bound=regret,
         notes=tuple(notes),
     )
     return best_a, trace
@@ -434,35 +437,48 @@ def _sample_batches(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _dual_point(
-    dist: SampleTargetDistribution, batches: list, X: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """g(X) for a symmetric positive definite X, and the factor rows of its
-    supergradient M(a*(X)) = rows^T rows.
+    dist: SampleTargetDistribution, batches: list, X: np.ndarray, rescaled: bool = False
+) -> tuple[float, np.ndarray, float | None]:
+    """g(X) for a symmetric positive definite X, the factor rows of its
+    supergradient M(a*(X)) = rows^T rows, and, when ``rescaled``, g(X') for
+    the unit-diagonal X' = D^{-1/2} X D^{-1/2} with D = diag(X) (else None).
 
     Pair i's minimizer solves X_AA u_A = (X b_i)_A on its sample set A, one
     batched ``np.linalg.solve`` per batch of equal sample sizes, and only the
-    sample entries of a* are written.  The value is <M(a*), X> at the computed
-    a*, which is feasible, so a solve error raises it only by the second-order
-    term d^T X_AA d of the error d.
+    sample entries of a* are written.  As (u - b)^T X' (u - b) equals
+    (v - c)^T X (v - c) for v = D^{-1/2} u, which has the support of u, and
+    c = D^{-1/2} b, g(X') is the same minimization against the target c: a
+    second right-hand side of the same solves.  Each value is <M(a*), X> at
+    the computed a*, which is feasible, so a solve error raises it only by
+    the second-order term d^T X_AA d of the error d.
     """
     b = dist.target_rows
-    Xb = b @ X
-    rows = np.zeros_like(b)
+    targets = (b, b / np.sqrt(np.diag(X))) if rescaled else (b,)
+    rhs = np.empty(b.shape + (len(targets),))
+    for k, target in enumerate(targets):
+        np.matmul(target, X, out=rhs[..., k])
+    sol = np.zeros_like(rhs)
     for idx, cols in batches:
         block = X[cols[:, :, None], cols[:, None, :]]
-        rhs = Xb[idx[:, None], cols][..., None]
-        rows[idx[:, None], cols] = np.linalg.solve(block, rhs)[..., 0]
-    rows -= b
-    rows *= np.sqrt(dist.pair_weights / dist.m)[:, None]
-    return float(np.vdot(rows @ X, rows)), rows
+        sol[idx[:, None], cols] = np.linalg.solve(block, rhs[idx[:, None], cols])
+    del rhs
+    # in place, as each (m, n) temporary raises the resident peak at large n
+    scale = np.sqrt(dist.pair_weights / dist.m)[:, None]
+    values = []
+    for k, target in enumerate(targets):
+        rows = sol[..., k]
+        rows -= target
+        rows *= scale
+        values.append(float(np.vdot(rows @ X, rows)))
+    return values[0], sol[..., 0], values[1] if rescaled else None
 
 
 def l2_dual_bound(dist: SampleTargetDistribution, X: np.ndarray) -> float:
     """g(X) = sum_i pi_i min over u supported on A_i of (u - b_i)^T X (u - b_i).
 
-    For X symmetric positive definite with trace n this is at most
-    <M(a), X>, and so at most n lambda_max(M(a)), for every semilinear
-    estimator a.
+    For X symmetric positive definite this is at most <M(a), X> for every
+    semilinear estimator a: so at most n lambda_max(M(a)) when tr X = n,
+    and at most SDP_inf(M(a)) when X has unit diagonal.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (dist.n, dist.n):
@@ -470,28 +486,34 @@ def l2_dual_bound(dist: SampleTargetDistribution, X: np.ndarray) -> float:
     return _dual_point(dist, _sample_batches(dist.sample_mask), X)[0]
 
 
-class _L2Dual:
-    """Matrix exponentiated gradient ascent on the l2 dual bound g.
+class _Dual:
+    """Matrix exponentiated gradient ascent on the dual bound g, for the
+    doubling of either regime.
 
     The point is X = (1 - mix) n exp(S) / tr exp(S) + mix I, where S sums
     the supergradients M(a*(X)) met, each scaled to spectral norm 2 / sqrt(t)
     for the t-th.  It starts at S = 0, X = I, where a* is the projected
     target and g(I) = beta / m needs no solve.  Each supergradient is added
     to S as soon as it is found, so that S is the only (n, n) array kept
-    between steps.  ``value`` is the best g seen.
+    between steps.  ``l2`` is the best g(X) seen.  In the linf regime
+    ``linf`` is the best g(X') over the unit-diagonal rescalings
+    X' = D^{-1/2} X D^{-1/2} of the same points; X = I is its own, so both
+    start at beta / m.  ``value`` is the regime's bound, ``steps`` the
+    ascent steps taken and ``budget`` the most taken per ``raise_above``.
     """
 
-    def __init__(self, dist: SampleTargetDistribution):
+    def __init__(self, dist: SampleTargetDistribution, regime: str, budget: int):
         self.dist = dist
+        self.regime = regime
+        self.budget = budget
         self.batches = _sample_batches(dist.sample_mask)
-        b = dist.target_rows
-        rows = (np.where(dist.sample_mask, b, 0.0) - b) * np.sqrt(
-            dist.pair_weights / dist.m
-        )[:, None]
+        center, self.beta = _projected_targets(dist)
+        rows = (center - dist.target_rows) * np.sqrt(dist.pair_weights / dist.m)[:, None]
         self.floor = float(np.vdot(rows, rows))
-        self.value = self.floor
+        self.l2 = self.linf = self.floor
         self.S = np.zeros((dist.n, dist.n))
         self.steps = 0
+        self._added = 0
         self._add(rows)
 
     def _add(self, rows: np.ndarray) -> None:
@@ -501,16 +523,26 @@ class _L2Dual:
         lam = np.linalg.eigh(gram)[0][-1]
         self.moving = lam > 0.0
         if self.moving:
-            self.steps += 1
-            self.S += (2.0 / (lam * math.sqrt(self.steps))) * (rows.T @ rows)
+            self._added += 1
+            self.S += (2.0 / (lam * math.sqrt(self._added))) * (rows.T @ rows)
+
+    @property
+    def value(self) -> float:
+        return self.linf if self.regime == LINF else self.l2
+
+    def feasible(self, p: float) -> bool:
+        """Whether the ball at p meets the sample subspace, by the test
+        ``_run_single`` makes."""
+        return radius_for(self.regime, self.dist.m, p) ** 2 - self.beta >= -_FEAS_TOL
 
     def rules_out(self, p: float) -> bool:
         return self.value > p * (1.0 + _DUAL_MARGIN)
 
     def raise_above(self, p: float) -> None:
-        """Take up to _DUAL_STEPS ascent steps, stopping once p is ruled out."""
+        """Take up to ``budget`` ascent steps, stopping once p is ruled out."""
         n = self.dist.n
-        for _ in range(_DUAL_STEPS):
+        rescaled = self.regime == LINF
+        for _ in range(self.budget):
             if self.rules_out(p) or not self.moving:
                 return
             s, Q = np.linalg.eigh(self.S)
@@ -521,9 +553,12 @@ class _L2Dual:
             X = Q @ Q.T  # an exactly symmetric product
             del Q
             X.flat[:: n + 1] += _DUAL_MIX
-            value, rows = _dual_point(self.dist, self.batches, X)
+            value, rows, unit = _dual_point(self.dist, self.batches, X, rescaled)
             del X
-            self.value = max(self.value, value)
+            self.steps += 1
+            self.l2 = max(self.l2, value)
+            if rescaled:
+                self.linf = max(self.linf, unit)
             self._add(rows)
 
 
@@ -533,9 +568,10 @@ def run_with_doubling(
     """Grow p geometrically until the best objective is at most p.
 
     Runs are independent (fresh initialization and rng per p).  Infeasible
-    radii (r^2 < beta) are skipped by doubling.  In the l2 regime a radius
-    that the dual bound rules out (see the module docstring) is skipped
-    without running, except at the last attempt, which always runs.  If the
+    radii (r^2 < beta) are skipped by doubling.  A feasible radius that the
+    regime's dual bound rules out (see the module docstring) is skipped
+    without running, except at the last attempt, which always runs; in the
+    linf regime no bound is built when t_max // 20 is zero.  If the
     doubling cap is exhausted the best run seen is returned with a
     diagnostic note; ruled-out radii never ran, so it is the best of the
     runs made, which may differ from the best of all radii.  If every
@@ -550,13 +586,14 @@ def run_with_doubling(
         if cfg.p_doublings_max is not None
         else math.ceil(math.log2(n)) + 2
     )
-    dual = _L2Dual(dist) if cfg.regime == L2 else None
+    budget = _DUAL_STEPS if cfg.regime == L2 else cfg.t_max // _LINF_DUAL_RATIO
+    dual = _Dual(dist, cfg.regime, budget) if budget > 0 else None
     records: list[AttemptRecord] = []
     best: tuple[np.ndarray, OgdTrace, float] | None = None
     last_infeasible: InfeasibleBallError | None = None
     for attempt in range(cap + 1):
-        # below g(I) = beta / m the ball is empty or a point: run as is
-        if dual is not None and attempt < cap and p >= dual.floor:
+        # an infeasible radius is left to _run_single, which raises on it
+        if dual is not None and attempt < cap and dual.feasible(p):
             dual.raise_above(p)
             if dual.rules_out(p):
                 records.append(AttemptRecord(p, "ruled-out", None, dual.value))
@@ -589,13 +626,15 @@ def _fit(
     dist: SampleTargetDistribution,
     run: tuple[np.ndarray, OgdTrace, float],
     records: list[AttemptRecord],
-    dual: _L2Dual | None,
+    dual: _Dual | None,
 ) -> tuple[SemilinearEstimator, OgdTrace, float]:
-    """The doubling's result from its chosen run, with the attempt records
-    and the final dual bound attached to the run's trace."""
+    """The doubling's result from its chosen run, with the attempt records,
+    the final dual bound and the ascent steps attached to the run's trace."""
     a_dense, trace, p = run
     trace.attempts = tuple(records)
-    trace.dual_bound = None if dual is None else dual.value
+    if dual is not None:
+        trace.dual_bound = dual.value
+        trace.dual_steps = dual.steps
     return estimator_from_dense(dist, a_dense), trace, p
 
 
@@ -625,10 +664,9 @@ def trace_summary(trace: OgdTrace, p_final: float | None = None) -> dict:
         "iterations": int(trace.t.size),
         "best_t": trace.best_t,
         "best_value": trace.best_value,
-        "theoretical_t": trace.theoretical_t,
-        "regret_bound": trace.regret_bound,
         "notes": list(trace.notes),
         "attempts": [asdict(rec) for rec in trace.attempts],
+        "dual_steps": trace.dual_steps,
     }
     if trace.dual_bound is not None:
         out["dual_bound"] = trace.dual_bound

@@ -4,9 +4,9 @@
 such as ``wcmean.optimizer.top_eigen``.  A refactor that calls one of those
 functions some other way would leave its span empty, and its per-layer
 metric would read zero without any error.  One small importance round must
-therefore record at least one span under every traced name.  The l2
-doubling's dual bound skips radii without running them, and the per-layer
-counts must stay true counts of the work done.
+therefore record at least one span under every traced name.  The
+doubling's dual bound skips radii without running them, in both regimes,
+and the per-layer counts must stay true counts of the work done.
 """
 
 import dataclasses
@@ -39,22 +39,34 @@ def test_every_traced_name_records_a_span(tmp_path):
     assert traced - recorded == set()
 
 
+def fit_spans(regime, t_max):
+    dist, _ = collectors.gen_importance(n=50, split=25, m=150, seed=0)
+    cfg = optimizer.OgdConfig(regime=regime, t_max=t_max, seed=0)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        recorder.regime = regime
+        _, trace, _ = optimizer.run_with_doubling(dist, cfg)
+    finally:
+        recorder.uninstall()
+    outcomes = [rec.outcome for rec in trace.attempts]
+    assert "ruled-out" in outcomes
+    ran = sum(outcome in ("rejected", "accepted") for outcome in outcomes)
+    return recorder.take(), ran
+
+
 def test_l2_fit_spans_count_the_attempts_that_ran():
     # optimizer.attempts_l2 counts feasible ball_geometry spans, and
     # optimizer.iterations_l2 counts top_eigen spans: a radius the dual
     # rules out must add to neither
-    dist, _ = collectors.gen_importance(n=50, split=25, m=150, seed=0)
-    cfg = optimizer.OgdConfig(regime=core.L2, t_max=7, seed=0)
-    recorder = tracing.Recorder()
-    recorder.install()
-    try:
-        recorder.regime = core.L2
-        _, trace, _ = optimizer.run_with_doubling(dist, cfg)
-    finally:
-        recorder.uninstall()
-    spans = recorder.take()
-    outcomes = [rec.outcome for rec in trace.attempts]
-    assert "ruled-out" in outcomes
-    ran = sum(outcome in ("rejected", "accepted") for outcome in outcomes)
+    spans, ran = fit_spans(core.L2, 7)
     assert sum(s.info["feasible"] for s in spans if s.name == "ball_geometry") == ran
-    assert sum(s.name == "top_eigen" for s in spans) == ran * cfg.t_max
+    assert sum(s.name == "top_eigen" for s in spans) == ran * 7
+
+
+def test_linf_fit_spans_count_the_attempts_that_ran():
+    # the same for optimizer.attempts_linf and the sdp_inf_solve spans, at
+    # the smallest t_max whose linf ascent takes a step
+    spans, ran = fit_spans(core.LINF, 20)
+    assert sum(s.info["feasible"] for s in spans if s.name == "ball_geometry") == ran
+    assert sum(s.name == "sdp_inf_solve" for s in spans) == ran * 20

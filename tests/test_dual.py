@@ -1,9 +1,10 @@
-"""The l2 dual bound and the radius doubling that skips what it rules out.
+"""The dual bound and the radius doubling that skips what it rules out.
 
 g(X) = sum_i pi_i min over u on A_i of (u - b_i)^T X (u - b_i) is a lower
-bound on <M(a), X>, and so on n lambda_max(M(a)), for every semilinear a
-and every PSD X with trace n.  ``run_with_doubling`` skips an l2 radius p
-once g(X) > p, which may change no output: ``reference_run_with_doubling``
+bound on <M(a), X> for every semilinear a and every PSD X: so on
+n lambda_max(M(a)) when tr X = n, and on SDP_inf(M(a)) when X has unit
+diagonal.  ``run_with_doubling`` skips a radius p once the regime's bound
+exceeds p, which may change no output: ``reference_run_with_doubling``
 below is the loop without the skip, kept as the reference.
 """
 
@@ -25,7 +26,7 @@ from wcmean import optimizer
 from wcmean.optimizer import (
     InfeasibleBallError,
     OgdConfig,
-    _L2Dual,
+    _Dual,
     _run_single,
     ball_geometry,
     l2_dual_bound,
@@ -133,13 +134,13 @@ def test_dual_bound_at_identity_is_the_infeasibility_threshold():
     for dist in (random_dist(rng, 6, 9, allow_empty=True), weighted(random_dist(rng, 5, 7), rng)):
         beta = ball_geometry(dist, 1.0).beta
         assert l2_dual_bound(dist, np.eye(dist.n)) == pytest.approx(beta / dist.m, rel=1e-12)
-        assert _L2Dual(dist).floor == pytest.approx(beta / dist.m, rel=1e-12)
+        assert _Dual(dist, L2, optimizer._DUAL_STEPS).floor == pytest.approx(beta / dist.m, rel=1e-12)
 
 
 def test_dual_ascent_stays_below_every_fit():
     # the ascent's best value is a lower bound on every iterate's f_t
     dist = gen_importance(n=30, split=15, m=60, seed=2)[0]
-    dual = _L2Dual(dist)
+    dual = _Dual(dist, L2, optimizer._DUAL_STEPS)
     start = dual.value
     for k in range(6):
         dual.raise_above(2.0**k / dist.n)
@@ -181,30 +182,37 @@ def assert_same_fit(dist, cfg):
 
 @pytest.mark.parametrize(
     "name, regime",
-    [(name, L2) for name in skip_cases()]
-    + [(name, LINF) for name in ("selective", "weighted", "empty-samples", "all-empty", "single-pair")],
+    [(name, L2) for name in skip_cases()] + [(name, LINF) for name in skip_cases()],
 )
 def test_skipping_changes_no_output(name, regime):
     dist, t_max = skip_cases()[name]
     trace = assert_same_fit(dist, OgdConfig(regime=regime, t_max=t_max, seed=2))
     outcomes = [rec.outcome for rec in trace.attempts]
     assert outcomes[-1] == "accepted"
-    # a radius is reported infeasible exactly when its ball is empty
+    # a radius is reported infeasible exactly when its ball is empty, and
+    # ruled out only by a bound above it
     beta = ball_geometry(dist, 0.0).beta
     for rec in trace.attempts:
         empty = radius_for(regime, dist.m, rec.p) ** 2 - beta < -1e-9
         assert (rec.outcome == "infeasible") == empty
+        if rec.outcome == "ruled-out":
+            assert rec.dual_bound > rec.p
     if name == "selective":
         assert "infeasible" in outcomes
-    if regime == LINF:
-        assert "ruled-out" not in outcomes
-        assert all(rec.dual_bound is None for rec in trace.attempts)
-        assert trace.dual_bound is None
-    else:
+    if regime == L2:
         assert trace.dual_bound <= trace.best_value
-    if name == "importance" and regime == L2:
-        # not vacuous: the dual skips radii on this process
-        assert outcomes.count("ruled-out") >= 1
+    # the linf ascent takes up to t_max // 20 steps per attempt, and with
+    # none no bound is built
+    budget = 4 if regime == L2 else t_max // 20
+    assert trace.dual_steps <= budget * len(outcomes)
+    if budget == 0:
+        assert trace.dual_bound is None and "ruled-out" not in outcomes
+    else:
+        assert all(rec.dual_bound is not None for rec in trace.attempts)
+        assert trace.dual_bound >= trace.attempts[-1].dual_bound
+    if name == "importance":
+        # not vacuous: the dual skips radii on this process, in both regimes
+        assert outcomes.count("ruled-out") >= 1 and trace.dual_steps >= 1
 
 
 def test_attempt_records_follow_the_doubling(monkeypatch):
@@ -240,16 +248,22 @@ def test_attempt_records_follow_the_doubling(monkeypatch):
     assert again.attempts == trace.attempts and again.notes == trace.notes
 
 
-def test_regret_note_only_in_linf():
+def test_summary_reports_the_dual_in_both_regimes():
+    # no regret bound or regret note in either regime; the ascent steps
+    # always, and the dual bound whenever one was built: in linf, only when
+    # t_max // 20 is at least one
     dist = random_dist(np.random.default_rng(94), 5, 8)
-    traces = {
-        regime: run_with_doubling(dist, OgdConfig(regime=regime, t_max=5, p_doublings_max=0))[1]
-        for regime in (L2, LINF)
-    }
-    assert "regret-bound-assumes-eps-accurate-subproblems" not in traces[L2].notes
-    assert "regret-bound-assumes-eps-accurate-subproblems" in traces[LINF].notes
-    assert "dual_bound" in trace_summary(traces[L2])
-    assert "dual_bound" not in trace_summary(traces[LINF])
+    for regime, t_max, built in ((L2, 5, True), (LINF, 20, True), (LINF, 19, False)):
+        cfg = OgdConfig(regime=regime, t_max=t_max, p_doublings_max=0)
+        trace = run_with_doubling(dist, cfg)[1]
+        summary = trace_summary(trace)
+        assert not any("regret" in note for note in trace.notes)
+        assert not {"regret_bound", "theoretical_t"} & set(summary)
+        # one attempt, which is the last: it always runs, with no ascent
+        assert summary["dual_steps"] == trace.dual_steps == 0
+        assert ("dual_bound" in summary) == built
+        if built:
+            assert summary["dual_bound"] == trace.dual_bound == trace.attempts[0].dual_bound
 
 
 def test_cap_exhausted_runs_the_last_radius():
