@@ -65,12 +65,7 @@ def reweighting_estimator(
     if gs.n != dist.n:
         raise ValueError("group structure population size does not match")
     _require_full_target(dist, "reweighting")
-    n = dist.n
-    weights = tuple(
-        {j: 1.0 / (n * gs.inclusion_prob[j]) for j in pair.sample}
-        for pair in dist.pairs
-    )
-    return SemilinearEstimator(n, weights)
+    return estimator_from_dense(dist, dist.sample_mask / (dist.n * gs.inclusion_prob))
 
 
 def subgroup_estimator(
@@ -84,16 +79,14 @@ def subgroup_estimator(
     if gs.n != dist.n:
         raise ValueError("group structure population size does not match")
     _require_full_target(dist, "subgroup")
-    weights = []
-    for pair in dist.pairs:
-        sample = set(pair.sample)
-        hits = [[j for j in g if j in sample] for g in gs.groups]
-        w: dict[int, float] = {}
-        for h in hits:
-            for j in h:
-                w[j] = 1.0 / (len(gs.groups) * len(h))
-        weights.append(w)
-    return SemilinearEstimator(dist.n, tuple(weights))
+    dense = np.zeros((dist.m, dist.n))
+    for g in gs.groups:
+        cols = list(g)
+        hit = dist.sample_mask[:, cols]
+        # a row with no hit in g is all zero: its divisor only avoids 0 / 0
+        count = np.maximum(hit.sum(axis=1, keepdims=True), 1)
+        dense[:, cols] = hit / (len(gs.groups) * count)
+    return estimator_from_dense(dist, dense)
 
 
 def sample_mean_estimator(dist: SampleTargetDistribution) -> SemilinearEstimator:
@@ -110,7 +103,7 @@ def selective_prediction_estimator(dist: SampleTargetDistribution) -> Semilinear
     also holds the newest observed point.  Both equal the w that
     ``collectors.gen_selective`` drew, under either target convention.
     """
-    weights = []
+    dense = np.zeros((dist.m, dist.n))
     for i, pair in enumerate(dist.pairs):
         t = len(pair.sample)
         if pair.sample != tuple(range(t)):
@@ -118,12 +111,10 @@ def selective_prediction_estimator(dist: SampleTargetDistribution) -> Semilinear
         w = sum(1 for j in pair.target if j >= t)
         if w == 0:
             raise ValueError(f"pair {i}: every target index is observed, so there is no window")
-        if t == 0:
-            weights.append({})
-            continue
         k = min(w, t)
-        weights.append({j: 1.0 / k for j in range(t - k, t)})
-    return SemilinearEstimator(dist.n, tuple(weights))
+        if k:
+            dense[i, t - k : t] = 1.0 / k
+    return estimator_from_dense(dist, dense)
 
 
 BASELINES = ("reweighting", "subgroup", "sample_mean", "selective_prediction")

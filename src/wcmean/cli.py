@@ -236,7 +236,7 @@ def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStruc
         )
     except KeyError as exc:
         raise SchemaError("bad_schema", f"{meta_path}: no {exc} key") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("bad_schema", f"{meta_path}: bad group structure: {exc}") from exc
 
 

@@ -328,7 +328,10 @@ def distribution_from_dict(data) -> SampleTargetDistribution:
             p = entry["p"]
             if not isinstance(p, (int, float)) or isinstance(p, bool):
                 raise SchemaError("bad_schema", f'pair {i}: "p" must be a number')
-            probs.append(float(p))
+            try:
+                probs.append(float(p))
+            except OverflowError:  # an integer beyond float range
+                raise SchemaError("bad_schema", f'pair {i}: "p" too large for a float') from None
     if not probs:
         return SampleTargetDistribution(n, tuple(pairs))
     if len(probs) != len(pairs):
@@ -368,7 +371,10 @@ def estimator_from_dict(data) -> SemilinearEstimator:
                 or isinstance(item[1], bool)
             ):
                 raise SchemaError("bad_schema", f"weights[{i}]: entries must be [index, value]")
-            j, val = item[0], float(item[1])
+            try:
+                j, val = item[0], float(item[1])
+            except OverflowError:  # an integer beyond float range
+                raise SchemaError("bad_schema", f"weights[{i}]: value too large for a float") from None
             if not 0 <= j < n:
                 raise SchemaError("index_out_of_range", f"weights[{i}]: index {j} outside [0, {n})")
             if j in w:
@@ -394,7 +400,7 @@ def _load_json(path: str | Path):
         raise SchemaError("unreadable", f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise SchemaError("malformed_json", f"{path}: {exc}") from exc
 
 
@@ -418,10 +424,20 @@ def estimator_from_dense(
     dist: SampleTargetDistribution, dense: np.ndarray
 ) -> SemilinearEstimator:
     """Wrap a dense (m, n) weight array, keeping every sample-set coordinate."""
+    return _estimator_on_mask(dist.sample_mask, dense)
+
+
+def _estimator_on_mask(mask: np.ndarray, dense: np.ndarray) -> SemilinearEstimator:
+    """Wrap a dense weight array, keeping every coordinate set in the (m, n)
+    mask: the one array constructor, so only this module knows the format."""
     dense = np.asarray(dense, dtype=float)
-    if dense.shape != (dist.m, dist.n):
-        raise ValueError(f"expected shape {(dist.m, dist.n)}, got {dense.shape}")
+    if dense.shape != mask.shape:
+        raise ValueError(f"expected shape {mask.shape}, got {dense.shape}")
+    # one flat row-major pass, cut into rows: per-row numpy calls cost more
+    cols = np.nonzero(mask)[1].tolist()
+    vals = dense[mask].tolist()
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
     weights = tuple(
-        {j: float(dense[i, j]) for j in pair.sample} for i, pair in enumerate(dist.pairs)
+        dict(zip(cols[start:end], vals[start:end])) for start, end in zip([0] + ends[:-1], ends)
     )
-    return SemilinearEstimator(dist.n, weights)
+    return SemilinearEstimator(mask.shape[1], weights)

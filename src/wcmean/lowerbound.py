@@ -178,10 +178,7 @@ def semilinear_callable(
 ) -> PairEstimator:
     """Wrap a weighting estimator as a black box over observed values."""
     validate_estimator(est, dist)
-    vecs = [
-        np.array([est.weights[i].get(j, 0.0) for j in pair.sample])
-        for i, pair in enumerate(dist.pairs)
-    ]
+    vecs = [row[keep] for row, keep in zip(est.dense(), dist.sample_mask)]
 
     def f(i: int, observed: np.ndarray) -> float:
         observed = np.asarray(observed, dtype=float)

@@ -70,6 +70,7 @@ from .core import (
     LINF,
     SampleTargetDistribution,
     SemilinearEstimator,
+    _estimator_on_mask,
     estimator_from_dense,
     loss_factor,
     validate_estimator,
@@ -254,11 +255,7 @@ def project_to_ball(est: SemilinearEstimator, geom: BallGeometry) -> SemilinearE
     projected, lam = _project_dense(arr, geom)
     if lam == 1.0:
         return est
-    weights = []
-    for i, w in enumerate(est.weights):
-        keys = set(w) | {j for j in np.flatnonzero(geom.center[i]) if geom.masks[i, j]}
-        weights.append({int(j): float(projected[i, j]) for j in sorted(keys)})
-    return SemilinearEstimator(est.n, tuple(weights))
+    return _estimator_on_mask(geom.masks, projected)
 
 
 def uniform_init(dist: SampleTargetDistribution) -> np.ndarray:
@@ -390,7 +387,7 @@ def _run_single(
             f_t = assignment.objective
             X = assignment
         else:
-            eig = top_eigen(M, cfg.eps, rng)
+            eig = top_eigen(M)
             f_t = n * eig.rayleigh
             X = math.sqrt(n) * eig.vector
         if f_t < best_value:

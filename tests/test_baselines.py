@@ -1,5 +1,7 @@
 """Comparison estimators: hand-derived weights plus design-rule checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ from wcmean.collectors import gen_importance, gen_selective, gen_snowball
 from wcmean.core import validate_estimator
 
 TOL = 1e-12
+
+
+def dense_row(n, entries):
+    """Length-n weight row holding the index -> weight entries, zero elsewhere."""
+    row = np.zeros(n)
+    for j, val in entries.items():
+        row[j] = val
+    return row
 
 
 def two_point_gs(p0, p1):
@@ -100,6 +110,21 @@ def test_subgroup_weights_average_group_means():
     }
 
 
+@pytest.mark.parametrize("m", [150, 2000])
+def test_group_baselines_match_closed_forms_on_generated_process(m):
+    dist, gs = gen_importance(m=m, seed=0)
+    group_of = {j: g for g, members in enumerate(gs.groups) for j in members}
+    reweight = np.zeros((dist.m, dist.n))
+    subgroup = np.zeros((dist.m, dist.n))
+    for i, pair in enumerate(dist.pairs):
+        hits = Counter(group_of[j] for j in pair.sample)
+        for j in pair.sample:
+            reweight[i, j] = 1.0 / (dist.n * gs.inclusion_prob[j])
+            subgroup[i, j] = 1.0 / (len(gs.groups) * hits[group_of[j]])
+    np.testing.assert_array_equal(reweighting_estimator(dist, gs).dense(), reweight)
+    np.testing.assert_array_equal(subgroup_estimator(dist, gs).dense(), subgroup)
+
+
 # ── sample mean ──────────────────────────────────────────────────────
 
 
@@ -124,39 +149,51 @@ def test_sample_mean_weights_sum_to_one():
 def test_selective_last_two_mean():
     dist = make_dist(8, [(list(range(4)), [4, 5])])
     est = selective_prediction_estimator(dist)
-    assert est.weights[0] == {2: pytest.approx(0.5), 3: pytest.approx(0.5)}
+    assert est.dense()[0] == pytest.approx(dense_row(8, {2: 0.5, 3: 0.5}))
 
 
 def test_selective_overlap_target_window_excludes_observed_index():
     # the target shares index 5 with the sample, so only 6 and 7 are unseen
     dist = make_dist(8, [(list(range(6)), [5, 6, 7])])
     est = selective_prediction_estimator(dist)
-    assert est.weights[0] == {4: pytest.approx(0.5), 5: pytest.approx(0.5)}
+    assert est.dense()[0] == pytest.approx(dense_row(8, {4: 0.5, 5: 0.5}))
 
 
 def test_selective_clips_window_to_prefix():
     dist = make_dist(16, [([0], [1, 2, 3, 4, 5, 6, 7, 8])])
     est = selective_prediction_estimator(dist)
-    assert est.weights[0] == {0: pytest.approx(1.0)}
+    assert est.dense()[0] == pytest.approx(dense_row(16, {0: 1.0}))
 
 
 def test_selective_empty_prefix_is_zero():
     dist = make_dist(4, [([], [1])])
     est = selective_prediction_estimator(dist)
-    assert est.weights[0] == {}
+    assert est.dense()[0] == pytest.approx(dense_row(4, {}))
 
 
 def test_selective_default_window_is_target_size():
     dist = make_dist(10, [(list(range(6)), [6, 7, 8])])
     est = selective_prediction_estimator(dist)
-    assert est.weights[0] == {j: pytest.approx(1 / 3) for j in (3, 4, 5)}
+    assert est.dense()[0] == pytest.approx(dense_row(10, {j: 1 / 3 for j in (3, 4, 5)}))
 
 
 def test_selective_per_pair_windows():
     dist = make_dist(10, [(list(range(4)), [4]), (list(range(6)), [6, 7, 8])])
     est = selective_prediction_estimator(dist)
-    assert est.weights[0] == {3: pytest.approx(1.0)}
-    assert est.weights[1] == {j: pytest.approx(1 / 3) for j in (3, 4, 5)}
+    assert est.dense()[0] == pytest.approx(dense_row(10, {3: 1.0}))
+    assert est.dense()[1] == pytest.approx(dense_row(10, {j: 1 / 3 for j in (3, 4, 5)}))
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_selective_matches_closed_form_on_generated_process(overlap):
+    dist = gen_selective(overlap=overlap)
+    expected = np.zeros((dist.m, dist.n))
+    for i, pair in enumerate(dist.pairs):
+        t = len(pair.sample)
+        # an overlap target also holds the newest observed point
+        k = min(len(pair.target) - overlap, t)
+        expected[i, t - k : t] = 1.0 / k
+    np.testing.assert_array_equal(selective_prediction_estimator(dist).dense(), expected)
 
 
 def test_selective_rejects_non_prefix_sample():

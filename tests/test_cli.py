@@ -298,6 +298,33 @@ def test_evaluate_malformed_dist_is_schema_error(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "where, digits, code",
+    [
+        ("weight", 400, "bad_schema"),
+        ("p", 400, "bad_schema"),
+        # past Python's 4300-digit limit the JSON reader itself refuses it
+        ("weight", 5000, "malformed_json"),
+    ],
+    ids=["estimator-weight", "pair-probability", "past-digit-limit"],
+)
+def test_evaluate_oversized_integer_is_schema_error(runner, tmp_path, where, digits, code):
+    # valid JSON, but no float holds it
+    big = "9" * digits
+    p = f', "p": {big}' if where == "p" else ""
+    weight = big if where == "weight" else "1.0"
+    dist_path, est_path = tmp_path / "dist.json", tmp_path / "est.json"
+    dist_path.write_text('{"n": 2, "pairs": [{"A": [0], "B": [0, 1]' + p + "}]}")
+    est_path.write_text('{"n": 2, "weights": [[[0, ' + weight + "]]]}")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist_path), "--estimator", str(est_path),
+         "--dataset", "constant", "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 3, result.output
+    assert f"[{code}]" in result.output
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--dataset", "file:{tmp}/missing.json"),
@@ -508,6 +535,7 @@ def test_lowerbound_rejects_estimator_and_baseline(runner, tmp_path):
         {"groups": [[0, 1], [2, 3]], "inclusion_prob": [2.0, 0.5, 0.5, 0.5]},
         {"groups": [[0, 1], [2, 3]], "inclusion_prob": [float("nan"), 0.5, 0.5, 0.5]},
         {"groups": [[0, 1], [2, 3]], "inclusion_prob": [[0.5, 0.5, 0.5, 0.5]]},
+        {"groups": [[0, 1], [2, 3]], "inclusion_prob": [10**400, 0.5, 0.5, 0.5]},
         {"groups": [[0, 1], [2, 3]]},
         [0.5, 0.5, 0.5, 0.5],
     ],
@@ -516,6 +544,7 @@ def test_lowerbound_rejects_estimator_and_baseline(runner, tmp_path):
         "probability-above-one",
         "probability-nan",
         "probabilities-nested",
+        "probability-oversized-integer",
         "no-probabilities",
         "not-an-object",
     ],

@@ -90,14 +90,16 @@ def test_selective_overlap_window_is_target_minus_one():
     sp = overlap.estimators["selective_prediction"]
     dist = gen_selective(overlap=True)
     assert sp.m == dist.m
+    dense = sp.dense()
     for i, pair in enumerate(dist.pairs):
         t = len(pair.sample)
         w = len(pair.target) - 1
         assert w <= t  # prefixes start at t = w, so the window always fits
         assert dist.probs[i] == pytest.approx(1.0 / (5 * (dist.n - 2 * w + 1)))
         k = min(w, t)
-        expect = {j: pytest.approx(1.0 / k) for j in range(t - k, t)}
-        assert sp.weights[i] == expect, i
+        expect = np.zeros(dist.n)
+        expect[t - k : t] = 1.0 / k
+        assert dense[i] == pytest.approx(expect), i
 
 
 def test_average_results_means_cells(importance_result):

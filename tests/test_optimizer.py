@@ -230,7 +230,7 @@ def subproblem(regime, M, eps, rng):
     if regime == LINF:
         assignment = sdp_inf_solve(M, eps, rng)
         return assignment.objective, assignment
-    eig = top_eigen(M, eps, rng)
+    eig = top_eigen(M)
     return M.dim * eig.rayleigh, math.sqrt(M.dim) * eig.vector
 
 
