@@ -10,6 +10,7 @@ from .baselines import (
     sample_mean_estimator,
     selective_prediction_estimator,
     subgroup_estimator,
+    uniform_init,
 )
 from .collectors import gen_importance, gen_selective, gen_snowball
 from .core import (
@@ -54,7 +55,6 @@ from .optimizer import (
     project_to_ball,
     radius_for,
     run_with_doubling,
-    uniform_init,
 )
 from .subproblems import (
     EigenResult,

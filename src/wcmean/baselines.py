@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SampleTargetDistribution, SemilinearEstimator, estimator_from_dense
-from .optimizer import uniform_init
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,15 @@ def subgroup_estimator(
         count = np.maximum(hit.sum(axis=1, keepdims=True), 1)
         dense[:, cols] = hit / (len(gs.groups) * count)
     return estimator_from_dense(dist, dense)
+
+
+def uniform_init(dist: SampleTargetDistribution) -> np.ndarray:
+    """The sample mean's weights, where OGD starts: 1/|sample| on each sample
+    set, zero rows for empty samples."""
+    masks = dist.sample_mask
+    counts = masks.sum(axis=1, keepdims=True).astype(float)
+    counts[counts == 0.0] = 1.0
+    return masks / counts
 
 
 def sample_mean_estimator(dist: SampleTargetDistribution) -> SemilinearEstimator:

@@ -39,6 +39,9 @@ from .core import (
 )
 from .experiments import (
     EXPERIMENTS,
+    IMPORTANCE_PARAMS,
+    SELECTIVE_PARAMS,
+    SNOWBALL_PARAMS,
     average_results,
     run_experiment,
     spatial_values,
@@ -105,78 +108,51 @@ def main():
 @click.option("--meta-out", type=click.Path(path_type=Path), default=None, help="Metadata JSON path (default: <out>.meta.json).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--m", "m", type=int, default=2000, show_default=True, help="Number of pairs (importance/snowball).")
-@click.option("--n", "n", type=int, default=None, help="Population size (default 50, selective 32).")
-@click.option("--split", type=int, default=25, show_default=True, help="First-group size (importance).")
-@click.option("--probs", nargs=2, type=float, default=(0.1, 0.5), show_default=True, help="Group inclusion probabilities (importance).")
-@click.option("--k", type=int, default=25, show_default=True, help="Sample size (snowball).")
-@click.option("--neighbors", type=int, default=5, show_default=True, help="Nearest-neighbor count (snowball).")
-@click.option("--recruit", type=int, default=2, show_default=True, help="Recruits per dequeued member (snowball).")
+@click.option("--n", "n", type=int, default=None, help=f"Population size (default {IMPORTANCE_PARAMS['n']}, selective {SELECTIVE_PARAMS['n']}).")
+@click.option("--split", type=int, default=IMPORTANCE_PARAMS["split"], show_default=True, help="First-group size (importance).")
+@click.option("--probs", nargs=2, type=float, default=IMPORTANCE_PARAMS["probs"], show_default=True, help="Group inclusion probabilities (importance).")
+@click.option("--k", type=int, default=SNOWBALL_PARAMS["k"], show_default=True, help="Sample size (snowball).")
+@click.option("--neighbors", type=int, default=SNOWBALL_PARAMS["num_neighbors"], show_default=True, help="Nearest-neighbor count (snowball).")
+@click.option("--recruit", type=int, default=SNOWBALL_PARAMS["recruit"], show_default=True, help="Recruits per dequeued member (snowball).")
 @click.option("--graph", type=click.Choice(["directed", "mutual"]), default="directed", show_default=True, help="Recruitment graph (snowball).")
 @click.option("--traversal", type=click.Choice(["fifo", "rounds"]), default="fifo", show_default=True, help="Recruitment order (snowball).")
 @click.option("--start-policy", "start_policy", type=click.Choice(["perdraw", "fixed"]), default="perdraw", show_default=True, help="Start vertex policy (snowball).")
 @click.option("--stall", type=click.Choice(["fresh", "redraw"]), default="fresh", show_default=True, help="Stalled-growth policy (snowball).")
-@click.option("--windows", default="1,2,4,8,16", show_default=True, help="Comma-separated window lengths (selective).")
+@click.option("--windows", default=",".join(map(str, SELECTIVE_PARAMS["windows"])), show_default=True, help="Comma-separated window lengths (selective).")
 @click.option("--overlap", is_flag=True, help="Selective targets include the newest observed point.")
 @handle_errors
 def cmd_generate(process, out, meta_out, seed, m, n, split, probs, k, neighbors, recruit, graph, traversal, start_policy, stall, windows, overlap):
     """Generate a collection process and write it with sidecar metadata."""
     meta_out = meta_out if meta_out is not None else _meta_path(out)
+    if n is None:
+        defaults = {
+            "importance": IMPORTANCE_PARAMS, "snowball": SNOWBALL_PARAMS, "selective": SELECTIVE_PARAMS
+        }
+        n = defaults[process]["n"]
+    # params are the generator's keywords and, with the extras, the metadata
     if process == "importance":
-        n = 50 if n is None else n
-        dist, gs = gen_importance(n=n, split=split, probs=tuple(probs), m=m, seed=seed)
-        meta = {
-            "process": process,
-            "n": n,
-            "split": split,
-            "probs": list(probs),
-            "m": m,
-            "seed": seed,
+        params = {"n": n, "split": split, "probs": probs, "m": m, "seed": seed}
+        dist, gs = gen_importance(**params)
+        extras = {
             "groups": [list(g) for g in gs.groups],
             "inclusion_prob": [float(p) for p in gs.inclusion_prob],
         }
     elif process == "snowball":
-        n = 50 if n is None else n
-        dist, points = gen_snowball(
-            n=n,
-            k=k,
-            num_neighbors=neighbors,
-            recruit=recruit,
-            m=m,
-            seed=seed,
-            graph=graph,
-            traversal=traversal,
-            start=start_policy,
-            stall=stall,
-        )
-        meta = {
-            "process": process,
-            "n": n,
-            "k": k,
-            "num_neighbors": neighbors,
-            "recruit": recruit,
-            "m": m,
-            "seed": seed,
-            "graph": graph,
-            "traversal": traversal,
-            "start": start_policy,
-            "stall": stall,
-            "points": [[float(a), float(b)] for a, b in points],
+        params = {
+            "n": n, "k": k, "num_neighbors": neighbors, "recruit": recruit, "m": m, "seed": seed,
+            "graph": graph, "traversal": traversal, "start": start_policy, "stall": stall,
         }
+        dist, points = gen_snowball(**params)
+        extras = {"points": [[float(a), float(b)] for a, b in points]}
     else:
-        n = 32 if n is None else n
         try:
-            window_list = [int(w) for w in windows.split(",") if w.strip()]
+            params = {"n": n, "windows": [int(w) for w in windows.split(",") if w.strip()]}
         except ValueError:
             raise ValueError(f"cannot parse window list {windows!r}")
-        dist = gen_selective(n=n, windows=window_list, overlap=overlap)
-        meta = {
-            "process": process,
-            "n": n,
-            "windows": window_list,
-            "window_convention": "overlap" if overlap else "disjoint",
-        }
+        dist = gen_selective(**params, overlap=overlap)
+        extras = {"window_convention": "overlap" if overlap else "disjoint"}
     save_distribution_file(dist, out)
-    _write_json(meta, meta_out)
+    _write_json({"process": process, **params, **extras}, meta_out)
     click.echo(f"wrote {out} ({dist.m} pairs) and {meta_out}")
 
 
@@ -240,8 +216,14 @@ def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStruc
         raise SchemaError("bad_schema", f"{meta_path}: bad group structure: {exc}") from exc
 
 
-def _numeric_array(data, path: Path) -> np.ndarray:
-    """JSON content as a float array; bad_schema unless it is all finite numbers."""
+def _numeric_array(path: Path, key: str) -> np.ndarray:
+    """A JSON file's content, or its ``key`` entry when it is an object, as a
+    float array; bad_schema unless it is all finite numbers."""
+    data = _load_json(path)
+    if isinstance(data, dict):
+        if key not in data:
+            raise SchemaError("bad_schema", f'{path}: no "{key}" key')
+        data = data[key]
     try:
         arr = np.asarray(data)
     except ValueError as exc:  # ragged nesting
@@ -251,36 +233,22 @@ def _numeric_array(data, path: Path) -> np.ndarray:
     return arr.astype(float)
 
 
-def _load_points(path: Path) -> np.ndarray:
-    data = _load_json(path)
-    if isinstance(data, dict):
-        if "points" not in data:
-            raise SchemaError("bad_schema", f'{path}: no "points" key')
-        data = data["points"]
-    points = _numeric_array(data, path)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise SchemaError("bad_schema", f"{path}: points must be a (k, 2) array, got {points.shape}")
-    return points
-
-
 def _dataset_vector(spec: str, n: int) -> np.ndarray | None:
     """Fixed-data vector for a dataset spec, or None for worst-case specs."""
     if spec in ("constant", "intergroup", "intragroup"):
         return synthetic_values(spec, n)
     if spec.startswith("spatial:"):
-        pts = _load_points(Path(spec.split(":", 1)[1]))
-        vals = spatial_values(pts)
+        path = Path(spec.split(":", 1)[1])
+        points = _numeric_array(path, "points")
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise SchemaError("bad_schema", f"{path}: points must be a (k, 2) array, got {points.shape}")
+        vals = spatial_values(points)
         if vals.size != n:
             raise ValueError(f"spatial dataset has {vals.size} points, expected {n}")
         return vals
     if spec.startswith("file:"):
         path = Path(spec.split(":", 1)[1])
-        data = _load_json(path)
-        if isinstance(data, dict):
-            if "x" not in data:
-                raise SchemaError("bad_schema", f'{path}: no "x" key')
-            data = data["x"]
-        vals = _numeric_array(data, path)
+        vals = _numeric_array(path, "x")
         if vals.ndim != 1:
             raise SchemaError("bad_schema", f"{path}: data must be a 1-D list, got {vals.shape}")
         if vals.size != n:

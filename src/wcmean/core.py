@@ -395,12 +395,12 @@ def estimator_to_dict(est: SemilinearEstimator) -> dict:
 
 def _load_json(path: str | Path):
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError("unreadable", f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise SchemaError("malformed_json", f"{path}: {exc}") from exc
 
 

@@ -65,6 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import uniform_init
 from .core import (
     L2,
     LINF,
@@ -258,14 +259,6 @@ def project_to_ball(est: SemilinearEstimator, geom: BallGeometry) -> SemilinearE
     return _estimator_on_mask(geom.masks, projected)
 
 
-def uniform_init(dist: SampleTargetDistribution) -> np.ndarray:
-    """Starting point: 1/|sample| on each sample set, zero rows for empty samples."""
-    masks = dist.sample_mask
-    counts = masks.sum(axis=1, keepdims=True).astype(float)
-    counts[counts == 0.0] = 1.0
-    return masks / counts
-
-
 def _apply_X(resid: np.ndarray, X, out: np.ndarray | None = None) -> np.ndarray:
     """resid @ X for X a PsdAssignment (X = factor^T factor), a vector x
     (meaning x x^T), or a dense (n, n) array.  Written into ``out`` when
@@ -356,7 +349,8 @@ def _run_single(
     geom = ball_geometry(dist, r)
     if geom.squared_slack < -_FEAS_TOL:
         raise InfeasibleBallError(r, geom.beta)
-    rng = np.random.default_rng((cfg.seed, run_index))
+    # only the linf SDP solver draws: its random start
+    rng = np.random.default_rng((cfg.seed, run_index)) if cfg.regime == LINF else None
     b = dist.target_rows
     a = uniform_init(dist)
     resid = a - b
@@ -564,17 +558,17 @@ def run_with_doubling(
 ) -> tuple[SemilinearEstimator, OgdTrace, float]:
     """Grow p geometrically until the best objective is at most p.
 
-    Runs are independent (fresh initialization and rng per p).  Infeasible
-    radii (r^2 < beta) are skipped by doubling.  A feasible radius that the
-    regime's dual bound rules out (see the module docstring) is skipped
-    without running, except at the last attempt, which always runs; in the
-    linf regime no bound is built when t_max // 20 is zero.  If the
-    doubling cap is exhausted the best run seen is returned with a
-    diagnostic note; ruled-out radii never ran, so it is the best of the
-    runs made, which may differ from the best of all radii.  If every
-    radius was infeasible, the last infeasibility error is raised.  With
-    ``p_doublings_max=0`` this is one run at ``p_init``.  Attempt k runs
-    with ``run_index=k`` whether or not earlier attempts ran.
+    Runs are independent (fresh initialization per p, and a fresh rng in
+    linf).  Infeasible radii (r^2 < beta) are skipped by doubling.  A
+    feasible radius that the regime's dual bound rules out (see the module
+    docstring) is skipped without running, except at the last attempt,
+    which always runs; in the linf regime no bound is built when
+    t_max // 20 is zero.  If the doubling cap is exhausted the best run
+    seen is returned with a diagnostic note; ruled-out radii never ran, so
+    it is the best of the runs made, which may differ from the best of all
+    radii.  If every radius was infeasible, the last infeasibility error is
+    raised.  With ``p_doublings_max=0`` this is one run at ``p_init``.
+    Attempt k runs with ``run_index=k`` whether or not earlier ones ran.
     """
     n = dist.n
     p = cfg.p_init if cfg.p_init is not None else 1.0 / n

@@ -5,10 +5,14 @@ dense eigensolver for the l2 worst case, exhaustive sign enumeration for
 the hypercube worst case, and a grid search for the ball projection.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from wcmean import experiments, optimizer
 from wcmean.core import IndexPair, SampleTargetDistribution
+from wcmean.subproblems import SdpConvergenceError, sdp_inf_solve
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -67,3 +71,21 @@ def hypercube_max(M_dense):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def capped_sdp(monkeypatch):
+    """Every SDP solve of the OGD loop and of the table cells hits its sweep
+    cap: it raises SdpConvergenceError carrying a real solve's assignment.
+    Returns the objectives carried out of the cells' solves, in call order."""
+    carried = []
+
+    def capped(M, eps, rng, log=None):
+        assignment = sdp_inf_solve(M, eps, rng)
+        if log is not None:
+            log.append(assignment.objective)
+        raise SdpConvergenceError(assignment)
+
+    monkeypatch.setattr(optimizer, "sdp_inf_solve", capped)
+    monkeypatch.setattr(experiments, "sdp_inf_solve", functools.partial(capped, log=carried))
+    return carried

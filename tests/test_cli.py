@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wcmean.baselines import selective_prediction_estimator
+from wcmean.baselines import sample_mean_estimator, selective_prediction_estimator
 from wcmean.cli import main
 from wcmean.collectors import gen_selective
-from wcmean.core import SemilinearEstimator, fixed_data_error, save_estimator_file
+from wcmean.core import (
+    SemilinearEstimator,
+    fixed_data_error,
+    load_distribution_file,
+    save_estimator_file,
+)
 from wcmean.optimizer import OgdConfig, run_with_doubling
 
 SMALL_EXP = ["--m", "60", "--t-max", "8", "--eps", "0.05"]
@@ -344,6 +349,22 @@ def test_evaluate_unreadable_input_is_schema_error(runner, tmp_path, flag, value
     assert "[unreadable]" in result.output
 
 
+@pytest.mark.parametrize("flag", ["--dist", "--metadata", "--dataset"])
+def test_evaluate_non_utf8_input_is_malformed_json(runner, tmp_path, flag):
+    dist = gen(runner, tmp_path, "importance")
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    inputs = {"--dist": str(dist), "--metadata": str(dist.with_suffix(".meta.json")),
+              "--dataset": "constant"}
+    inputs[flag] = f"file:{binary}" if flag == "--dataset" else str(binary)
+    args = ["evaluate", "--baseline", "sample_mean", "--out", str(tmp_path / "r.csv")]
+    for option, value in inputs.items():
+        args += [option, value]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "[malformed_json]" in result.output
+
+
 def evaluate_dataset(runner, tmp_path, kind, content):
     """Run evaluate on a 50-point importance process with one dataset file."""
     dist = gen(runner, tmp_path, "importance")
@@ -413,6 +434,18 @@ def test_evaluate_selective_overlap_matches_experiment_estimator(runner, tmp_pat
     assert result.exit_code == 0, result.output
     values = [line.split(",")[2] for line in report.read_text().splitlines()[1:]]
     assert values == ["1.179098", "1.179098"]
+
+
+def test_evaluate_sdp_sweep_cap_exit_code(runner, tmp_path, capped_sdp):
+    dist = gen(runner, tmp_path, "importance")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
+         "--dataset", "worst-linf", "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 4, result.output
+    assert "sdp solver did not converge" in result.output
+    assert len(capped_sdp) == 1
 
 
 # ── experiment ───────────────────────────────────────────────────────
@@ -516,6 +549,32 @@ def test_lowerbound_bruteforce_with_adversary(runner, tmp_path):
     adv = cert["adversary"]
     assert adv["achieved_error"] >= adv["alpha_over_4"] - 1e-9
     assert np.all(np.abs(adv["x"]) <= 1.0 + 1e-9)
+
+
+def test_lowerbound_adversary_from_estimator_file(runner, tmp_path):
+    # a saved sample-mean estimator gets the certificate and adversary that
+    # --baseline sample_mean gets, under the file's stem
+    dist = half_split_file(tmp_path)
+    est = tmp_path / "est.json"
+    save_estimator_file(sample_mean_estimator(load_distribution_file(dist)), est)
+    certs = {}
+    for name, args in [("est", ["--estimator", str(est)]), ("sample_mean", ["--baseline", "sample_mean"])]:
+        out = tmp_path / f"{name}.cert.json"
+        result = runner.invoke(main, ["lowerbound", "--dist", str(dist), *args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        certs[name] = json.loads(out.read_text())
+        assert certs[name]["adversary"].pop("estimator") == name
+    assert certs["est"] == certs["sample_mean"]
+
+
+def test_lowerbound_unparsable_subset_is_usage_error(runner, tmp_path):
+    dist = half_split_file(tmp_path)
+    result = runner.invoke(
+        main,
+        ["lowerbound", "--dist", str(dist), "--subset", "0,a", "--out", str(tmp_path / "c.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "cannot parse subset" in result.output
 
 
 def test_lowerbound_rejects_estimator_and_baseline(runner, tmp_path):

@@ -102,6 +102,16 @@ def test_selective_overlap_window_is_target_minus_one():
         assert dense[i] == pytest.approx(expect), i
 
 
+def test_sdp_sweep_cap_is_noted_and_keeps_the_carried_value(capped_sdp):
+    r = run_experiment("selective", seed=0, **SMALL)
+    assert r.provenance["ogd"]["ogd_linf"]["notes"].count("sdp-sweep-cap-hit") == 1
+    assert "sdp-sweep-cap-hit" not in r.provenance["ogd"]["ogd_l2"]["notes"]
+    # the worst_linf row is filled column by column, one solve per cell
+    assert [r.cells["worst_linf"][col] for col in r.columns] == capped_sdp
+    notes = r.provenance["convergence_notes"]
+    assert [note.split(":")[0] for note in notes] == [f"worst_linf/{col}" for col in r.columns]
+
+
 def test_average_results_means_cells(importance_result):
     other = run_experiment("importance", seed=1, **SMALL)
     avg = average_results([importance_result, other])
