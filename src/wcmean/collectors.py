@@ -11,6 +11,14 @@ from .baselines import GroupStructure
 from .core import IndexPair, SampleTargetDistribution
 
 
+def _check_m_seed(m: int, seed: int) -> None:
+    """The draw count and the rng seed, checked before numpy sees them."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def gen_importance(
     n: int = 50,
     split: int = 25,
@@ -28,6 +36,7 @@ def gen_importance(
     for p in probs:
         if not 0.0 < p <= 1.0:
             raise ValueError(f"inclusion probabilities must lie in (0, 1], got {p}")
+    _check_m_seed(m, seed)
     rng = np.random.default_rng(seed)
     inclusion = np.where(np.arange(n) < split, probs[0], probs[1])
     draws = rng.random((m, n)) < inclusion
@@ -190,6 +199,7 @@ def gen_snowball(
         raise ValueError(f"start must be 'perdraw' or 'fixed', got {start!r}")
     if stall not in ("fresh", "redraw"):
         raise ValueError(f"stall must be 'fresh' or 'redraw', got {stall!r}")
+    _check_m_seed(m, seed)
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     nbrs = [c.tolist() for c in _recruitment_lists(points, num_neighbors, graph)]

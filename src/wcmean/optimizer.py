@@ -47,9 +47,14 @@ rounding):
   t_max // 20 steps per attempt here, and when that is zero no bound is
   built.
 
-Attempts keep their index, and with it their rng stream, so the accepted
-run is the one the unskipped loop would make (in linf, barring such an
-under-reported acceptance).
+A run depends on (dist, cfg, p) alone: the linf SDP solver's random starts
+are seeded with (cfg.seed, 0) at every attempt.  p enters a run only
+through the slack r(p)^2 - beta of the ball, which grows with p, so a run
+whose ball never bound (lambda = 1 at every step) is the run of every
+larger radius too.  A rejected run of that kind is reused for the larger
+radii, with no run and no ascent before them.  The accepted run is
+therefore the one the loop that runs every radius would make (in linf,
+barring such an under-reported acceptance).
 
 The l2 subproblem is solved exactly; eps sets only the stopping rule of the
 linf SDP solver.
@@ -60,7 +65,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -159,13 +164,16 @@ class BallGeometry:
 class AttemptRecord:
     """One doubling attempt: its radius parameter p, its outcome
     (``infeasible``, ``ruled-out``, ``rejected`` or ``accepted``), the best
-    value of its run (None when nothing ran) and the regime's dual bound
-    when the attempt was decided (None when no bound was built)."""
+    value of its run (None when nothing ran), the regime's dual bound when
+    the attempt was decided (None when no bound was built) and whether the
+    attempt ``reused`` an earlier run whose ball never bound, so that no
+    OGD ran for it."""
 
     p: float
     outcome: str
     best_value: float | None
     dual_bound: float | None
+    reused: bool = False
 
 
 @dataclass
@@ -341,7 +349,7 @@ def ogd_step(
 
 
 def _run_single(
-    dist: SampleTargetDistribution, cfg: OgdConfig, p: float, run_index: int
+    dist: SampleTargetDistribution, cfg: OgdConfig, p: float
 ) -> tuple[np.ndarray, OgdTrace]:
     """One full OGD run at a fixed radius parameter p; returns (best dense a, trace)."""
     m, n = dist.m, dist.n
@@ -349,8 +357,9 @@ def _run_single(
     geom = ball_geometry(dist, r)
     if geom.squared_slack < -_FEAS_TOL:
         raise InfeasibleBallError(r, geom.beta)
-    # only the linf SDP solver draws: its random start
-    rng = np.random.default_rng((cfg.seed, run_index)) if cfg.regime == LINF else None
+    # only the linf SDP solver draws: its random starts, the same at every
+    # p, so that a run whose ball never binds is the run of every larger p
+    rng = np.random.default_rng((cfg.seed, 0)) if cfg.regime == LINF else None
     b = dist.target_rows
     a = uniform_init(dist)
     resid = a - b
@@ -558,17 +567,19 @@ def run_with_doubling(
 ) -> tuple[SemilinearEstimator, OgdTrace, float]:
     """Grow p geometrically until the best objective is at most p.
 
-    Runs are independent (fresh initialization per p, and a fresh rng in
-    linf).  Infeasible radii (r^2 < beta) are skipped by doubling.  A
-    feasible radius that the regime's dual bound rules out (see the module
-    docstring) is skipped without running, except at the last attempt,
-    which always runs; in the linf regime no bound is built when
-    t_max // 20 is zero.  If the doubling cap is exhausted the best run
-    seen is returned with a diagnostic note; ruled-out radii never ran, so
-    it is the best of the runs made, which may differ from the best of all
-    radii.  If every radius was infeasible, the last infeasibility error is
-    raised.  With ``p_doublings_max=0`` this is one run at ``p_init``.
-    Attempt k runs with ``run_index=k`` whether or not earlier ones ran.
+    Each run starts afresh (same initialization, and in linf the same rng
+    seed, at every p).  Infeasible radii (r^2 < beta) are skipped by
+    doubling.  A feasible radius that the regime's dual bound rules out
+    (see the module docstring) is skipped without running, except at the
+    last attempt, which always runs; in the linf regime no bound is built
+    when t_max // 20 is zero.  Once a run is rejected whose ball never
+    bound, every larger radius reuses it, with no run and no ascent: it is
+    accepted at the first p at least its best value.  If the doubling cap
+    is exhausted the best run seen is returned with a diagnostic note;
+    ruled-out radii never ran, so it is the best of the runs made, which
+    may differ from the best of all radii.  If every radius was infeasible,
+    the last infeasibility error is raised.  With ``p_doublings_max=0``
+    this is one run at ``p_init``.
     """
     n = dist.n
     p = cfg.p_init if cfg.p_init is not None else 1.0 / n
@@ -581,30 +592,38 @@ def run_with_doubling(
     dual = _Dual(dist, cfg.regime, budget) if budget > 0 else None
     records: list[AttemptRecord] = []
     best: tuple[np.ndarray, OgdTrace, float] | None = None
+    # a rejected run whose ball never bound: the run of every larger p
+    unbound: tuple[np.ndarray, OgdTrace] | None = None
     last_infeasible: InfeasibleBallError | None = None
     for attempt in range(cap + 1):
+        reused = unbound is not None
         # an infeasible radius is left to _run_single, which raises on it
-        if dual is not None and attempt < cap and dual.feasible(p):
+        if not reused and dual is not None and attempt < cap and dual.feasible(p):
             dual.raise_above(p)
             if dual.rules_out(p):
                 records.append(AttemptRecord(p, "ruled-out", None, dual.value))
                 p *= 2.0
                 continue
         bound = None if dual is None else dual.value
-        try:
-            a_dense, trace = _run_single(dist, cfg, p, run_index=attempt)
-        except InfeasibleBallError as exc:
-            records.append(AttemptRecord(p, "infeasible", None, bound))
-            last_infeasible = exc
-            p *= 2.0
-            continue
+        if reused:
+            a_dense, trace = unbound[0], replace(unbound[1], p=p)
+        else:
+            try:
+                a_dense, trace = _run_single(dist, cfg, p)
+            except InfeasibleBallError as exc:
+                records.append(AttemptRecord(p, "infeasible", None, bound))
+                last_infeasible = exc
+                p *= 2.0
+                continue
         if trace.best_value <= p:
-            records.append(AttemptRecord(p, "accepted", trace.best_value, bound))
+            records.append(AttemptRecord(p, "accepted", trace.best_value, bound, reused))
             trace.notes = trace.notes + ("accepted",)
             return _fit(dist, (a_dense, trace, p), records, dual)
-        records.append(AttemptRecord(p, "rejected", trace.best_value, bound))
+        records.append(AttemptRecord(p, "rejected", trace.best_value, bound, reused))
         if best is None or trace.best_value < best[1].best_value:
             best = (a_dense, trace, p)
+        if not reused and np.all(trace.lam == 1.0):
+            unbound = (a_dense, trace)
         p *= 2.0
     if best is None:
         assert last_infeasible is not None

@@ -6,7 +6,8 @@ functions some other way would leave its span empty, and its per-layer
 metric would read zero without any error.  One small importance round must
 therefore record at least one span under every traced name.  The
 doubling's dual bound skips radii without running them, in both regimes,
-and the per-layer counts must stay true counts of the work done.
+a reused run is not run again, and the per-layer counts must stay true
+counts of the work done.
 """
 
 import dataclasses
@@ -49,9 +50,10 @@ def fit_spans(regime, t_max):
         _, trace, _ = optimizer.run_with_doubling(dist, cfg)
     finally:
         recorder.uninstall()
-    outcomes = [rec.outcome for rec in trace.attempts]
-    assert "ruled-out" in outcomes
-    ran = sum(outcome in ("rejected", "accepted") for outcome in outcomes)
+    assert "ruled-out" in [rec.outcome for rec in trace.attempts]
+    ran = sum(
+        rec.outcome in ("rejected", "accepted") and not rec.reused for rec in trace.attempts
+    )
     return recorder.take(), ran
 
 

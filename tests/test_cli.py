@@ -131,6 +131,21 @@ def test_generate_rejects_bad_windows(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "process, args, message",
+    [
+        ("importance", ["--m", "-1"], "m must be >= 1, got -1"),
+        ("snowball", ["--m", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+)
+def test_generate_bad_m_or_seed_is_usage_error(runner, tmp_path, process, args, message):
+    out = tmp_path / "x.json"
+    result = runner.invoke(main, ["generate", process, *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_generate_snowball_redraw_that_cannot_grow_is_usage_error(runner, tmp_path):
     out = tmp_path / "d.json"
     args = ["--n", "40", "--k", "7", "--neighbors", "4", "--recruit", "1", "--graph", "mutual"]

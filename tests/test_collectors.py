@@ -68,6 +68,17 @@ def test_importance_rejects_bad_probs():
         gen_importance(probs=(0.5, 1.5))
 
 
+@pytest.mark.parametrize("generate", [gen_importance, gen_snowball])
+def test_generators_reject_bad_m_and_seed_themselves(generate):
+    # the generator's own message, not numpy's
+    with pytest.raises(ValueError, match=r"m must be >= 1, got -1"):
+        generate(m=-1)
+    with pytest.raises(ValueError, match=r"m must be >= 1, got 0"):
+        generate(m=0)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        generate(m=3, seed=-1)
+
+
 # ── snowball sampling ────────────────────────────────────────────────
 
 

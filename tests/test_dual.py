@@ -4,8 +4,10 @@ g(X) = sum_i pi_i min over u on A_i of (u - b_i)^T X (u - b_i) is a lower
 bound on <M(a), X> for every semilinear a and every PSD X: so on
 n lambda_max(M(a)) when tr X = n, and on SDP_inf(M(a)) when X has unit
 diagonal.  ``run_with_doubling`` skips a radius p once the regime's bound
-exceeds p, which may change no output: ``reference_run_with_doubling``
-below is the loop without the skip, kept as the reference.
+exceeds p, and reuses a rejected run whose ball never bound for every
+larger radius instead of running it again.  Neither may change an output:
+``reference_run_with_doubling`` below is the loop without either, in which
+every radius runs, kept as the reference in both regimes.
 """
 
 import math
@@ -37,7 +39,7 @@ from wcmean.optimizer import (
 
 
 def reference_run_with_doubling(dist, cfg):
-    """The doubling loop without the dual skip: every radius runs."""
+    """The doubling loop without the dual skip or the reuse: every radius runs."""
     p = cfg.p_init if cfg.p_init is not None else 1.0 / dist.n
     cap = (
         cfg.p_doublings_max
@@ -48,7 +50,7 @@ def reference_run_with_doubling(dist, cfg):
     last_infeasible = None
     for attempt in range(cap + 1):
         try:
-            a_dense, trace = _run_single(dist, cfg, p, run_index=attempt)
+            a_dense, trace = _run_single(dist, cfg, p)
         except InfeasibleBallError as exc:
             last_infeasible = exc
             p *= 2.0
@@ -166,6 +168,9 @@ def skip_cases():
         "empty-samples": (random_dist(rng, 8, 12, allow_empty=True), 30),
         "all-empty": (make_dist(4, [([], [0, 1]), ([], [2, 3]), ([], [1])]), 10),
         "single-pair": (make_dist(6, [([0, 2, 3], [1, 2, 5])]), 30),
+        # its l2 fit rejects a run whose ball never bound, as selective's
+        # linf fit does
+        "small-importance": (gen_importance(n=24, split=12, m=40, seed=0)[0], 40),
     }
 
 
@@ -176,6 +181,7 @@ def assert_same_fit(dist, cfg):
     assert trace.best_value == ref_trace.best_value
     assert trace.best_t == ref_trace.best_t
     assert p == ref_p
+    assert trace.p == ref_trace.p
     np.testing.assert_array_equal(trace.f_t, ref_trace.f_t)
     return trace
 
@@ -213,6 +219,66 @@ def test_skipping_changes_no_output(name, regime):
     if name == "importance":
         # not vacuous: the dual skips radii on this process, in both regimes
         assert outcomes.count("ruled-out") >= 1 and trace.dual_steps >= 1
+    if (name, regime) in (("selective", LINF), ("small-importance", L2)):
+        # not vacuous: a rejected run is reused for a larger radius
+        assert trace.attempts[-1].reused and trace.attempts[-2].outcome == "rejected"
+    # a reused attempt follows a rejected run, as does every later attempt
+    reused = [rec.reused for rec in trace.attempts]
+    if any(reused):
+        first = reused.index(True)
+        assert all(reused[first:]) and trace.attempts[first - 1].outcome == "rejected"
+        assert trace.attempts[first - 1].best_value == trace.best_value
+
+
+@pytest.mark.parametrize("name, regime", [("small-importance", L2), ("selective", LINF)])
+def test_reused_run_is_the_run_at_twice_the_radius(name, regime):
+    # a run whose ball never bound is, bit for bit, the run at 2p: p enters
+    # only through the slack of the ball, and the rng seed not at all
+    dist, t_max = skip_cases()[name]
+    cfg = OgdConfig(regime=regime, t_max=t_max, seed=2)
+    trace = run_with_doubling(dist, cfg)[1]
+    p = next(rec.p for rec in trace.attempts if rec.outcome == "rejected")
+    a, first = _run_single(dist, cfg, p)
+    assert np.all(first.lam == 1.0) and first.best_value > p
+    a2, second = _run_single(dist, cfg, 2.0 * p)
+    np.testing.assert_array_equal(a, a2)
+    np.testing.assert_array_equal(first.f_t, second.f_t)
+    np.testing.assert_array_equal(second.lam, 1.0)
+    assert first.best_t == second.best_t and second.p == 2.0 * p
+
+
+@pytest.mark.parametrize("regime, p_init, ran", [(L2, 0.05, [0.4, 0.8]), (LINF, 0.15, [0.15, 0.3])])
+def test_a_run_whose_ball_binds_is_run_again(monkeypatch, regime, p_init, ran):
+    # the first rejected run of each fit projects, so the next radius runs
+    # afresh; in linf that run never binds, and the last radius reuses it
+    dist = random_dist(np.random.default_rng(21), 6, 5)
+    cfg = OgdConfig(regime=regime, eps=0.05, t_max=4, seed=3, p_init=p_init)
+    calls = []
+
+    def recording(dist, cfg, p):
+        a, trace = _run_single(dist, cfg, p)
+        calls.append((p, bool(np.all(trace.lam == 1.0))))
+        return a, trace
+
+    monkeypatch.setattr(optimizer, "_run_single", recording)
+    trace = run_with_doubling(dist, cfg)[1]
+    monkeypatch.undo()
+    assert [p for p, _ in calls] == ran and calls[0][1] is False
+    outcomes = {rec.p: rec.outcome for rec in trace.attempts}
+    assert outcomes[ran[0]] == "rejected"
+    assert [rec.reused for rec in trace.attempts][-1] == (regime == LINF)
+    assert_same_fit(dist, cfg)
+
+
+def test_reused_runs_exhaust_the_cap_like_the_reference():
+    # rejected at every radius from 0.16 on, each after the first reusing
+    # its run: the fit is that first run, at its own p
+    dist = random_dist(np.random.default_rng(21), 6, 5)
+    cfg = OgdConfig(regime=LINF, eps=0.05, t_max=4, seed=3, p_init=0.01)
+    trace = assert_same_fit(dist, cfg)
+    assert [rec.outcome for rec in trace.attempts][-2:] == ["rejected", "rejected"]
+    assert trace.attempts[-1].reused and trace.p == 0.16
+    assert "doubling-cap-exhausted" in trace.notes
 
 
 def test_attempt_records_follow_the_doubling(monkeypatch):
@@ -231,17 +297,19 @@ def test_attempt_records_follow_the_doubling(monkeypatch):
     summary = trace_summary(trace, p_final)
     assert summary["dual_bound"] == trace.dual_bound
     assert [a["outcome"] for a in summary["attempts"]] == [rec.outcome for rec in trace.attempts]
-    assert set(summary["attempts"][0]) == {"p", "outcome", "best_value", "dual_bound"}
-    # attempt k runs with run_index k, skipped attempts before it or not
+    assert set(summary["attempts"][0]) == {"p", "outcome", "best_value", "dual_bound", "reused"}
+    # each radius runs at most once, and none after a reused one
     calls = []
 
-    def recording(dist, cfg, p, run_index):
-        calls.append((p, run_index))
-        return _run_single(dist, cfg, p, run_index)
+    def recording(dist, cfg, p):
+        calls.append(p)
+        return _run_single(dist, cfg, p)
 
     monkeypatch.setattr(optimizer, "_run_single", recording)
     run_with_doubling(dist, cfg)
-    assert calls and all(ps.index(p) == k for p, k in calls)
+    assert calls and len(set(calls)) == len(calls) and set(calls) <= set(ps)
+    reused = [rec.p for rec in trace.attempts if rec.reused]
+    assert all(p < min(reused, default=math.inf) for p in calls)
     monkeypatch.undo()
     # deterministic, the records included
     _, again, _ = run_with_doubling(dist, cfg)
@@ -276,7 +344,7 @@ def test_cap_exhausted_runs_the_last_radius():
     est, trace, p = run_with_doubling(dist, cfg)
     assert [rec.outcome for rec in trace.attempts] == ["ruled-out", "ruled-out", "rejected"]
     assert p == 0.06 and "doubling-cap-exhausted" in trace.notes
-    last_a, last_trace = _run_single(dist, cfg, 0.06, run_index=2)
+    last_a, last_trace = _run_single(dist, cfg, 0.06)
     np.testing.assert_array_equal(est.dense(), last_a)
     np.testing.assert_array_equal(trace.f_t, last_trace.f_t)
     ref_a, ref_trace, ref_p = reference_run_with_doubling(dist, cfg)

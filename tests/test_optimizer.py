@@ -244,10 +244,11 @@ def test_run_single_matches_public_step(regime, weighted):
         dist = SampleTargetDistribution(dist.n, dist.pairs, (0.3, 0.1, 0.2, 0.25, 0.15))
     cfg = OgdConfig(regime=regime, eps=0.05, t_max=4, seed=3)
     p = 0.15
-    best_a, trace = _run_single(dist, cfg, p, run_index=1)
+    best_a, trace = _run_single(dist, cfg, p)
     assert np.any(trace.lam < 1.0)
 
-    rng = np.random.default_rng((cfg.seed, 1))
+    # every run seeds the SDP solver's random starts with (seed, 0)
+    rng = np.random.default_rng((cfg.seed, 0))
     geom = ball_geometry(dist, radius_for(regime, dist.m, p))
     est = estimator_from_dense(dist, uniform_init(dist))
     iterates, states = [], []

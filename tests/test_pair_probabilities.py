@@ -137,26 +137,29 @@ def test_weighted_median_guards_the_heavy_pair():
 # before pair probabilities were introduced; uniform processes keep them.
 # The importance ogd_l2 column, the importance worst_l2 row and the snowball
 # ogd_l2 column were re-pinned when top_eigen became exact:
-# the earlier values held a power-iteration Ritz under-estimate.
+# the earlier values held a power-iteration Ritz under-estimate.  The
+# ogd_linf columns were re-pinned when every linf run came to seed the SDP
+# solver with (seed, 0): the earlier code gives these values exactly once
+# its per-attempt seed (seed, attempt) is replaced by (seed, 0).
 UNIFORM_CELLS = {
     "importance": {
         "constant": {"reweighting": 0.12589333333333336, "subgroup": 0.008333333333333335,
-                     "ogd_linf": 0.07533973580976637, "ogd_l2": 0.0649976408511329},
+                     "ogd_linf": 0.07522228189469013, "ogd_l2": 0.0649976408511329},
         "intergroup": {"reweighting": 0.13309333333333337, "subgroup": 0.008333333333333331,
-                       "ogd_linf": 0.052691678165254975, "ogd_l2": 0.05506458800943671},
+                       "ogd_linf": 0.053421438681468106, "ogd_l2": 0.05506458800943671},
         "intragroup": {"reweighting": 0.0984266666666667, "subgroup": 0.11512721225482828,
-                       "ogd_linf": 0.03844411527760095, "ogd_l2": 0.04242096650572608},
+                       "ogd_linf": 0.038269030306878976, "ogd_l2": 0.04242096650572608},
         "worst_linf": {"reweighting": 0.2895705014821349, "subgroup": 0.23769223128377237,
-                       "ogd_linf": 0.09115873092462534, "ogd_l2": 0.10060122572844721},
+                       "ogd_linf": 0.09064081763789236, "ogd_l2": 0.10060122572844721},
         "worst_l2": {"reweighting": 0.5148809935800479, "subgroup": 0.48208622347503655,
-                     "ogd_linf": 0.13417622532915982, "ogd_l2": 0.12515661616552642},
+                     "ogd_linf": 0.1346271722225368, "ogd_l2": 0.12515661616552642},
     },
     "snowball": {
-        "spatial": {"sample_mean": 0.021332325302898993, "ogd_linf": 0.07742492651663364,
+        "spatial": {"sample_mean": 0.021332325302898993, "ogd_linf": 0.06771383204049208,
                     "ogd_l2": 0.0798253997714197},
-        "worst_linf": {"sample_mean": 0.1862187064899324, "ogd_linf": 0.07516736094236107,
+        "worst_linf": {"sample_mean": 0.1862187064899324, "ogd_linf": 0.07409474924455328,
                        "ogd_l2": 0.08477940579999943},
-        "worst_l2": {"sample_mean": 0.2089505428804074, "ogd_linf": 0.10534997568317488,
+        "worst_l2": {"sample_mean": 0.2089505428804074, "ogd_linf": 0.1038481475170917,
                      "ogd_l2": 0.10525962917004048},
     },
 }
