@@ -28,12 +28,11 @@ X with tr X = n let
     g(X) = sum_i pi_i min over u supported on A_i of (u - b_i)^T X (u - b_i),
 
 one least-squares solve per pair.  For every semilinear a, inside the ball
-or not, g(X) <= <M(a), X>.  X = I gives g(I) = beta / m, and before each
-attempt but the last a few matrix exponentiated gradient steps (Tsuda,
-Raetsch & Warmuth 2005; Arora & Kale 2007) raise the bound along the
-supergradient M(a*(X)).  A feasible radius p is skipped without running
-once the regime's bound exceeds p (with a 1e-9 relative margin for
-rounding):
+or not, g(X) <= <M(a), X>.  X = I gives g(I) = beta / m, and matrix
+exponentiated gradient steps (Tsuda, Raetsch & Warmuth 2005; Arora & Kale
+2007) raise the bound along the supergradient M(a*(X)).  A feasible radius
+p is ruled out once the regime's bound exceeds p (with a 1e-9 relative
+margin for rounding):
 
 * l2: g(X) <= n lambda_max(M(a)), and every iterate's f_t is
   n lambda_max(M(a_t)) from an exact eigensolve, so the attempt at p would
@@ -43,18 +42,24 @@ rounding):
   g(X') is a second right-hand side of the same solves.  The skip is sound
   relative to the SDP value, not to the solver's: an attempt skipped at p
   could only have been accepted through the SDP solver reporting less than
-  the value, which its stopping rule does not rule out.  The ascent takes
-  t_max // 20 steps per attempt here, and when that is zero no bound is
-  built.
+  the value, which its stopping rule does not rule out.
 
 A run depends on (dist, cfg, p) alone: the linf SDP solver's random starts
 are seeded with (cfg.seed, 0) at every attempt.  p enters a run only
 through the slack r(p)^2 - beta of the ball, which grows with p, so a run
 whose ball never bound (lambda = 1 at every step) is the run of every
 larger radius too.  A rejected run of that kind is reused for the larger
-radii, with no run and no ascent before them.  The accepted run is
-therefore the one the loop that runs every radius would make (in linf,
-barring such an under-reported acceptance).
+radii, with no run and no ascent before them.  Ruling out the radius of
+such a run saves nothing, so the ascent is spent only where a run binds:
+every attempt but the last runs first, only until its ball binds.  A run
+that never binds completes with no ascent.  One that binds is abandoned,
+after one to a few steps on the tested processes, and up to _DUAL_STEPS
+ascent steps are taken; the radius is then ruled out, or else run again in
+full.  A radius that the bound reached at smaller radii already rules out
+is skipped without running.  The accepted run is therefore the one the
+loop that runs every radius would make (in linf, barring such an
+under-reported acceptance).  The reported bound is only the one those
+steps reach, lower than an ascent at every radius would reach.
 
 The l2 subproblem is solved exactly; eps sets only the stopping rule of the
 linf SDP solver.
@@ -86,10 +91,8 @@ from .subproblems import PsdAssignment, SdpConvergenceError, sdp_inf_solve, top_
 # slack allowed on ball-membership checks
 _FEAS_TOL = 1e-9
 
-# dual ascent steps taken before each doubling attempt but the last: a
-# fixed number in the l2 regime, and t_max // _LINF_DUAL_RATIO in linf
+# dual ascent steps taken at most per doubling attempt, in either regime
 _DUAL_STEPS = 4
-_LINF_DUAL_RATIO = 20
 # relative margin by which the dual bound must exceed p to rule p out: it
 # covers the rounding of the bound and of the eigensolve behind the l2 f_t
 _DUAL_MARGIN = 1e-9
@@ -129,6 +132,13 @@ class OgdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = {"t_max": self.t_max, "seed": self.seed}
+        if self.p_doublings_max is not None:
+            counts["p_doublings_max"] = self.p_doublings_max
+        for name, value in counts.items():
+            # a float or bool count would fail later, inside numpy or range
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.regime not in (LINF, L2):
             raise ValueError(f"regime must be {LINF!r} or {L2!r}, got {self.regime!r}")
         if not 0 < self.eps < math.inf:
@@ -164,16 +174,19 @@ class BallGeometry:
 class AttemptRecord:
     """One doubling attempt: its radius parameter p, its outcome
     (``infeasible``, ``ruled-out``, ``rejected`` or ``accepted``), the best
-    value of its run (None when nothing ran), the regime's dual bound when
-    the attempt was decided (None when no bound was built) and whether the
-    attempt ``reused`` an earlier run whose ball never bound, so that no
-    OGD ran for it."""
+    value of its run (None when no run completed), the regime's dual bound
+    when the attempt was decided, whether the attempt ``reused`` an earlier
+    run whose ball never bound, so that no OGD ran for it, the
+    ``dual_steps`` of ascent taken at it and the OGD ``iterations`` run for
+    it, those of a run abandoned when its ball bound included."""
 
     p: float
     outcome: str
     best_value: float | None
-    dual_bound: float | None
+    dual_bound: float
     reused: bool = False
+    dual_steps: int = 0
+    iterations: int = 0
 
 
 @dataclass
@@ -182,8 +195,8 @@ class OgdTrace:
 
     ``run_with_doubling`` fills ``attempts``, one record per doubling
     attempt; ``dual_steps``, the dual ascent steps taken over all attempts;
-    and, when it built a dual bound, ``dual_bound``, the best bound of the
-    regime reached: for every semilinear a, a lower bound on
+    and ``dual_bound``, the best bound of the regime reached (g(I) = beta / m
+    when no step was taken): for every semilinear a, a lower bound on
     n lambda_max(M(a)) in l2 and on SDP_inf(M(a)) in linf.  The linf bound
     is not one on the SDP solver's reported values, which can fall short of
     the SDP value.
@@ -349,9 +362,13 @@ def ogd_step(
 
 
 def _run_single(
-    dist: SampleTargetDistribution, cfg: OgdConfig, p: float
-) -> tuple[np.ndarray, OgdTrace]:
-    """One full OGD run at a fixed radius parameter p; returns (best dense a, trace)."""
+    dist: SampleTargetDistribution, cfg: OgdConfig, p: float, until_bound: bool = False
+) -> tuple[np.ndarray | None, OgdTrace]:
+    """One full OGD run at a fixed radius parameter p; returns (best dense a, trace).
+
+    With ``until_bound`` the run stops at the first step whose projection
+    binds (lambda < 1) and returns (None, the trace of the steps run).
+    """
     m, n = dist.m, dist.n
     r = radius_for(cfg.regime, m, p)
     geom = ball_geometry(dist, r)
@@ -402,20 +419,23 @@ def _run_single(
         f_arr[t - 1] = f_t
         lam_arr[t - 1] = lam
         ms_arr[t - 1] = (time.perf_counter() - tic) * 1e3
+        abandoned = until_bound and lam < 1.0
+        if abandoned:
+            break
     trace = OgdTrace(
         regime=cfg.regime,
         p=p,
         eps=cfg.eps,
-        t=t_arr,
-        eta=eta_arr,
-        f_t=f_arr,
-        lam=lam_arr,
-        elapsed_ms=ms_arr,
+        t=t_arr[:t],
+        eta=eta_arr[:t],
+        f_t=f_arr[:t],
+        lam=lam_arr[:t],
+        elapsed_ms=ms_arr[:t],
         best_t=best_t,
         best_value=best_value,
         notes=tuple(notes),
     )
-    return best_a, trace
+    return (None if abandoned else best_a), trace
 
 
 def _sample_batches(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -498,23 +518,27 @@ class _Dual:
     between steps.  ``l2`` is the best g(X) seen.  In the linf regime
     ``linf`` is the best g(X') over the unit-diagonal rescalings
     X' = D^{-1/2} X D^{-1/2} of the same points; X = I is its own, so both
-    start at beta / m.  ``value`` is the regime's bound, ``steps`` the
-    ascent steps taken and ``budget`` the most taken per ``raise_above``.
+    start at beta / m.  ``value`` is the regime's bound and ``steps`` the
+    ascent steps taken.  The sample batches and S are built on the first
+    step, so that a fit which takes none pays only for g(I).
     """
 
-    def __init__(self, dist: SampleTargetDistribution, regime: str, budget: int):
+    def __init__(self, dist: SampleTargetDistribution, regime: str):
         self.dist = dist
         self.regime = regime
-        self.budget = budget
-        self.batches = _sample_batches(dist.sample_mask)
         center, self.beta = _projected_targets(dist)
-        rows = (center - dist.target_rows) * np.sqrt(dist.pair_weights / dist.m)[:, None]
+        rows = self._identity_rows(center)
         self.floor = float(np.vdot(rows, rows))
         self.l2 = self.linf = self.floor
-        self.S = np.zeros((dist.n, dist.n))
+        self.S: np.ndarray | None = None
         self.steps = 0
         self._added = 0
-        self._add(rows)
+
+    def _identity_rows(self, center: np.ndarray) -> np.ndarray:
+        """Factor rows of the supergradient at X = I, where a* is the
+        projected target ``center``: sqrt(pi_i) (proj b_i - b_i)."""
+        dist = self.dist
+        return (center - dist.target_rows) * np.sqrt(dist.pair_weights / dist.m)[:, None]
 
     def _add(self, rows: np.ndarray) -> None:
         """S += the supergradient rows^T rows scaled to norm 2 / sqrt(t)."""
@@ -539,11 +563,17 @@ class _Dual:
         return self.value > p * (1.0 + _DUAL_MARGIN)
 
     def raise_above(self, p: float) -> None:
-        """Take up to ``budget`` ascent steps, stopping once p is ruled out."""
+        """Take up to _DUAL_STEPS ascent steps, stopping once p is ruled out."""
         n = self.dist.n
         rescaled = self.regime == LINF
-        for _ in range(self.budget):
-            if self.rules_out(p) or not self.moving:
+        for _ in range(_DUAL_STEPS):
+            if self.rules_out(p):
+                return
+            if self.S is None:
+                self.batches = _sample_batches(self.dist.sample_mask)
+                self.S = np.zeros((n, n))
+                self._add(self._identity_rows(_projected_targets(self.dist)[0]))
+            if not self.moving:
                 return
             s, Q = np.linalg.eigh(self.S)
             w = np.exp(s - s[-1])
@@ -569,17 +599,18 @@ def run_with_doubling(
 
     Each run starts afresh (same initialization, and in linf the same rng
     seed, at every p).  Infeasible radii (r^2 < beta) are skipped by
-    doubling.  A feasible radius that the regime's dual bound rules out
-    (see the module docstring) is skipped without running, except at the
-    last attempt, which always runs; in the linf regime no bound is built
-    when t_max // 20 is zero.  Once a run is rejected whose ball never
+    doubling.  Every attempt but the last first runs only until its ball
+    binds.  A run that never binds completes with no dual ascent.  One that
+    binds is abandoned, and the dual ascent steps at p: once the regime's
+    bound rules p out (see the module docstring) the radius is skipped,
+    else it is run again in full.  Once a run is rejected whose ball never
     bound, every larger radius reuses it, with no run and no ascent: it is
     accepted at the first p at least its best value.  If the doubling cap
     is exhausted the best run seen is returned with a diagnostic note;
-    ruled-out radii never ran, so it is the best of the runs made, which
-    may differ from the best of all radii.  If every radius was infeasible,
-    the last infeasibility error is raised.  With ``p_doublings_max=0``
-    this is one run at ``p_init``.
+    ruled-out radii never completed a run, so it is the best of the runs
+    made, which may differ from the best of all radii.  If every radius was
+    infeasible, the last infeasibility error is raised.  With
+    ``p_doublings_max=0`` this is one run at ``p_init``.
     """
     n = dist.n
     p = cfg.p_init if cfg.p_init is not None else 1.0 / n
@@ -588,8 +619,7 @@ def run_with_doubling(
         if cfg.p_doublings_max is not None
         else math.ceil(math.log2(n)) + 2
     )
-    budget = _DUAL_STEPS if cfg.regime == L2 else cfg.t_max // _LINF_DUAL_RATIO
-    dual = _Dual(dist, cfg.regime, budget) if budget > 0 else None
+    dual = _Dual(dist, cfg.regime)
     records: list[AttemptRecord] = []
     best: tuple[np.ndarray, OgdTrace, float] | None = None
     # a rejected run whose ball never bound: the run of every larger p
@@ -598,28 +628,48 @@ def run_with_doubling(
     for attempt in range(cap + 1):
         reused = unbound is not None
         # an infeasible radius is left to _run_single, which raises on it
-        if not reused and dual is not None and attempt < cap and dual.feasible(p):
-            dual.raise_above(p)
-            if dual.rules_out(p):
-                records.append(AttemptRecord(p, "ruled-out", None, dual.value))
-                p *= 2.0
-                continue
-        bound = None if dual is None else dual.value
+        skippable = not reused and attempt < cap and dual.feasible(p)
+        if skippable and dual.rules_out(p):
+            # ruled out by the ascent at a smaller radius, with no run
+            records.append(AttemptRecord(p, "ruled-out", None, dual.value))
+            p *= 2.0
+            continue
+        steps_before = dual.steps
+        iterations = 0
         if reused:
             a_dense, trace = unbound[0], replace(unbound[1], p=p)
         else:
             try:
-                a_dense, trace = _run_single(dist, cfg, p)
+                a_dense, trace = _run_single(dist, cfg, p, until_bound=skippable)
             except InfeasibleBallError as exc:
-                records.append(AttemptRecord(p, "infeasible", None, bound))
+                records.append(AttemptRecord(p, "infeasible", None, dual.value))
                 last_infeasible = exc
                 p *= 2.0
                 continue
-        if trace.best_value <= p:
-            records.append(AttemptRecord(p, "accepted", trace.best_value, bound, reused))
+            iterations = trace.t.size
+            if a_dense is None:
+                dual.raise_above(p)
+                if dual.rules_out(p):
+                    records.append(
+                        AttemptRecord(
+                            p, "ruled-out", None, dual.value,
+                            dual_steps=dual.steps - steps_before, iterations=iterations,
+                        )
+                    )
+                    p *= 2.0
+                    continue
+                a_dense, trace = _run_single(dist, cfg, p)
+                iterations += trace.t.size
+        accepted = trace.best_value <= p
+        records.append(
+            AttemptRecord(
+                p, "accepted" if accepted else "rejected", trace.best_value, dual.value,
+                reused=reused, dual_steps=dual.steps - steps_before, iterations=iterations,
+            )
+        )
+        if accepted:
             trace.notes = trace.notes + ("accepted",)
             return _fit(dist, (a_dense, trace, p), records, dual)
-        records.append(AttemptRecord(p, "rejected", trace.best_value, bound, reused))
         if best is None or trace.best_value < best[1].best_value:
             best = (a_dense, trace, p)
         if not reused and np.all(trace.lam == 1.0):
@@ -636,15 +686,14 @@ def _fit(
     dist: SampleTargetDistribution,
     run: tuple[np.ndarray, OgdTrace, float],
     records: list[AttemptRecord],
-    dual: _Dual | None,
+    dual: _Dual,
 ) -> tuple[SemilinearEstimator, OgdTrace, float]:
     """The doubling's result from its chosen run, with the attempt records,
     the final dual bound and the ascent steps attached to the run's trace."""
     a_dense, trace, p = run
     trace.attempts = tuple(records)
-    if dual is not None:
-        trace.dual_bound = dual.value
-        trace.dual_steps = dual.steps
+    trace.dual_bound = dual.value
+    trace.dual_steps = dual.steps
     return estimator_from_dense(dist, a_dense), trace, p
 
 

@@ -5,9 +5,9 @@ such as ``wcmean.optimizer.top_eigen``.  A refactor that calls one of those
 functions some other way would leave its span empty, and its per-layer
 metric would read zero without any error.  One small importance round must
 therefore record at least one span under every traced name.  The
-doubling's dual bound skips radii without running them, in both regimes,
-a reused run is not run again, and the per-layer counts must stay true
-counts of the work done.
+doubling abandons a run whose ball binds and may run that radius again,
+in both regimes, a reused run is not run again, and the per-layer counts
+must stay true counts of the work done.
 """
 
 import dataclasses
@@ -40,9 +40,20 @@ def test_every_traced_name_records_a_span(tmp_path):
     assert traced - recorded == set()
 
 
-def fit_spans(regime, t_max):
+def fit_spans(monkeypatch, regime, t_max):
+    """The spans of one fit, the number of runs it started on a feasible
+    radius, abandoned ones included, and its attempt records."""
     dist, _ = collectors.gen_importance(n=50, split=25, m=150, seed=0)
     cfg = optimizer.OgdConfig(regime=regime, t_max=t_max, seed=0)
+    run_single = optimizer._run_single
+    started = []
+
+    def counting(*args, **kwargs):
+        out = run_single(*args, **kwargs)
+        started.append(out[1].t.size)
+        return out
+
+    monkeypatch.setattr(optimizer, "_run_single", counting)
     recorder = tracing.Recorder()
     recorder.install()
     try:
@@ -50,25 +61,25 @@ def fit_spans(regime, t_max):
         _, trace, _ = optimizer.run_with_doubling(dist, cfg)
     finally:
         recorder.uninstall()
-    assert "ruled-out" in [rec.outcome for rec in trace.attempts]
-    ran = sum(
-        rec.outcome in ("rejected", "accepted") and not rec.reused for rec in trace.attempts
-    )
-    return recorder.take(), ran
+    outcomes = [rec.outcome for rec in trace.attempts]
+    assert "ruled-out" in outcomes
+    # the records count the iterations of every run started
+    assert sum(rec.iterations for rec in trace.attempts) == sum(started)
+    return recorder.take(), len(started), trace.attempts
 
 
-def test_l2_fit_spans_count_the_attempts_that_ran():
+def test_l2_fit_spans_count_the_attempts_that_ran(monkeypatch):
     # optimizer.attempts_l2 counts feasible ball_geometry spans, and
-    # optimizer.iterations_l2 counts top_eigen spans: a radius the dual
-    # rules out must add to neither
-    spans, ran = fit_spans(core.L2, 7)
-    assert sum(s.info["feasible"] for s in spans if s.name == "ball_geometry") == ran
-    assert sum(s.name == "top_eigen" for s in spans) == ran * 7
+    # optimizer.iterations_l2 counts top_eigen spans: each must count every
+    # run started and every iteration run, a radius ruled out after part of
+    # a run included, and a reused run in neither
+    spans, started, records = fit_spans(monkeypatch, core.L2, 7)
+    assert sum(s.info["feasible"] for s in spans if s.name == "ball_geometry") == started
+    assert sum(s.name == "top_eigen" for s in spans) == sum(rec.iterations for rec in records)
 
 
-def test_linf_fit_spans_count_the_attempts_that_ran():
-    # the same for optimizer.attempts_linf and the sdp_inf_solve spans, at
-    # the smallest t_max whose linf ascent takes a step
-    spans, ran = fit_spans(core.LINF, 20)
-    assert sum(s.info["feasible"] for s in spans if s.name == "ball_geometry") == ran
-    assert sum(s.name == "sdp_inf_solve" for s in spans) == ran * 20
+def test_linf_fit_spans_count_the_attempts_that_ran(monkeypatch):
+    # the same for optimizer.attempts_linf and the sdp_inf_solve spans
+    spans, started, records = fit_spans(monkeypatch, core.LINF, 7)
+    assert sum(s.info["feasible"] for s in spans if s.name == "ball_geometry") == started
+    assert sum(s.name == "sdp_inf_solve" for s in spans) == sum(rec.iterations for rec in records)

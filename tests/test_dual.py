@@ -3,9 +3,11 @@
 g(X) = sum_i pi_i min over u on A_i of (u - b_i)^T X (u - b_i) is a lower
 bound on <M(a), X> for every semilinear a and every PSD X: so on
 n lambda_max(M(a)) when tr X = n, and on SDP_inf(M(a)) when X has unit
-diagonal.  ``run_with_doubling`` skips a radius p once the regime's bound
-exceeds p, and reuses a rejected run whose ball never bound for every
-larger radius instead of running it again.  Neither may change an output:
+diagonal.  ``run_with_doubling`` runs each radius but the last only until
+its ball binds, ascends the dual only then, and skips the radius once the
+regime's bound exceeds p; it reuses a rejected run whose ball never bound
+for every larger radius instead of running it again.  Neither may change
+an output:
 ``reference_run_with_doubling`` below is the loop without either, in which
 every radius runs, kept as the reference in both regimes.
 """
@@ -136,13 +138,13 @@ def test_dual_bound_at_identity_is_the_infeasibility_threshold():
     for dist in (random_dist(rng, 6, 9, allow_empty=True), weighted(random_dist(rng, 5, 7), rng)):
         beta = ball_geometry(dist, 1.0).beta
         assert l2_dual_bound(dist, np.eye(dist.n)) == pytest.approx(beta / dist.m, rel=1e-12)
-        assert _Dual(dist, L2, optimizer._DUAL_STEPS).floor == pytest.approx(beta / dist.m, rel=1e-12)
+        assert _Dual(dist, L2).floor == pytest.approx(beta / dist.m, rel=1e-12)
 
 
 def test_dual_ascent_stays_below_every_fit():
     # the ascent's best value is a lower bound on every iterate's f_t
     dist = gen_importance(n=30, split=15, m=60, seed=2)[0]
-    dual = _Dual(dist, L2, optimizer._DUAL_STEPS)
+    dual = _Dual(dist, L2)
     start = dual.value
     for k in range(6):
         dual.raise_above(2.0**k / dist.n)
@@ -207,15 +209,27 @@ def test_skipping_changes_no_output(name, regime):
         assert "infeasible" in outcomes
     if regime == L2:
         assert trace.dual_bound <= trace.best_value
-    # the linf ascent takes up to t_max // 20 steps per attempt, and with
-    # none no bound is built
-    budget = 4 if regime == L2 else t_max // 20
-    assert trace.dual_steps <= budget * len(outcomes)
-    if budget == 0:
-        assert trace.dual_bound is None and "ruled-out" not in outcomes
-    else:
-        assert all(rec.dual_bound is not None for rec in trace.attempts)
-        assert trace.dual_bound >= trace.attempts[-1].dual_bound
+    # the ascent takes up to _DUAL_STEPS steps per attempt in either regime,
+    # and only at a radius whose run bound: one ruled out after part of a
+    # run, or one run again in full after it
+    assert trace.dual_steps == sum(rec.dual_steps for rec in trace.attempts)
+    for rec in trace.attempts:
+        assert rec.dual_steps <= optimizer._DUAL_STEPS
+        if rec.dual_steps:
+            assert rec.outcome == "ruled-out" or rec.iterations > t_max
+        if rec.outcome == "ruled-out":
+            # before any run, by the bound of a smaller radius, or after
+            # part of a run, by the ascent at p
+            assert rec.iterations <= t_max and (rec.iterations > 0 or rec.dual_steps == 0)
+        if rec.reused or rec.outcome == "infeasible":
+            assert rec.iterations == rec.dual_steps == 0
+    assert all(rec.dual_bound is not None for rec in trace.attempts)
+    assert trace.dual_bound >= trace.attempts[-1].dual_bound
+    # a radius but the last runs only when the bound it met at its start
+    # did not already rule it out
+    for prev, rec in zip(trace.attempts, trace.attempts[1:-1]):
+        if rec.iterations:
+            assert prev.dual_bound <= rec.p * (1 + optimizer._DUAL_MARGIN)
     if name == "importance":
         # not vacuous: the dual skips radii on this process, in both regimes
         assert outcomes.count("ruled-out") >= 1 and trace.dual_steps >= 1
@@ -237,7 +251,10 @@ def test_reused_run_is_the_run_at_twice_the_radius(name, regime):
     dist, t_max = skip_cases()[name]
     cfg = OgdConfig(regime=regime, t_max=t_max, seed=2)
     trace = run_with_doubling(dist, cfg)[1]
-    p = next(rec.p for rec in trace.attempts if rec.outcome == "rejected")
+    rejected = next(rec for rec in trace.attempts if rec.outcome == "rejected")
+    # its run never bound, so no ascent was taken at it
+    assert rejected.dual_steps == 0 and rejected.iterations == t_max
+    p = rejected.p
     a, first = _run_single(dist, cfg, p)
     assert np.all(first.lam == 1.0) and first.best_value > p
     a2, second = _run_single(dist, cfg, 2.0 * p)
@@ -247,25 +264,55 @@ def test_reused_run_is_the_run_at_twice_the_radius(name, regime):
     assert first.best_t == second.best_t and second.p == 2.0 * p
 
 
-@pytest.mark.parametrize("regime, p_init, ran", [(L2, 0.05, [0.4, 0.8]), (LINF, 0.15, [0.15, 0.3])])
+@pytest.mark.parametrize(
+    "regime, p_init, ran",
+    [
+        # 0.2 binds and is ruled out; 0.4 binds, is not ruled out and is run
+        # again in full; 0.8 never binds and is accepted
+        (L2, 0.05, [(0.2, True, True), (0.4, True, True), (0.4, False, False), (0.8, True, False)]),
+        # 0.15 binds and is ruled out; 0.3 never binds, so the last radius
+        # reuses it
+        (LINF, 0.15, [(0.15, True, True), (0.3, True, False)]),
+    ],
+)
 def test_a_run_whose_ball_binds_is_run_again(monkeypatch, regime, p_init, ran):
-    # the first rejected run of each fit projects, so the next radius runs
-    # afresh; in linf that run never binds, and the last radius reuses it
+    # the runs made, as (p, until_bound, abandoned): every radius but the
+    # last runs until its ball binds, and an abandoned radius is run again
+    # in full unless the ascent rules it out
     dist = random_dist(np.random.default_rng(21), 6, 5)
     cfg = OgdConfig(regime=regime, eps=0.05, t_max=4, seed=3, p_init=p_init)
-    calls = []
+    calls, runs = [], {}
 
-    def recording(dist, cfg, p):
-        a, trace = _run_single(dist, cfg, p)
-        calls.append((p, bool(np.all(trace.lam == 1.0))))
+    def recording(dist, cfg, p, until_bound=False):
+        a, trace = _run_single(dist, cfg, p, until_bound)
+        calls.append((p, until_bound, a is None))
+        runs[p, until_bound] = a, trace
         return a, trace
 
     monkeypatch.setattr(optimizer, "_run_single", recording)
     trace = run_with_doubling(dist, cfg)[1]
     monkeypatch.undo()
-    assert [p for p, _ in calls] == ran and calls[0][1] is False
-    outcomes = {rec.p: rec.outcome for rec in trace.attempts}
-    assert outcomes[ran[0]] == "rejected"
+    assert calls == ran
+    records = {rec.p: rec for rec in trace.attempts}
+    for p, until_bound, abandoned in ran:
+        if not until_bound:
+            continue  # a run again in full, checked with the abandoned one
+        rec, steps = records[p], runs[p, True][1].t.size
+        if not abandoned:
+            assert rec.dual_steps == 0 and rec.iterations == steps == cfg.t_max
+        elif (p, False) in runs:
+            # the ascent did not rule p out, and the run made in full is
+            # _run_single's, bit for bit
+            assert rec.outcome == "rejected" and rec.dual_steps >= 1
+            assert rec.iterations == steps + cfg.t_max
+            a, full = runs[p, False]
+            ref_a, ref = _run_single(dist, cfg, p)
+            np.testing.assert_array_equal(a, ref_a)
+            np.testing.assert_array_equal(full.f_t, ref.f_t)
+            np.testing.assert_array_equal(full.lam, ref.lam)
+            assert full.best_t == ref.best_t and rec.best_value == ref.best_value
+        else:
+            assert rec.outcome == "ruled-out" and rec.iterations == steps < cfg.t_max
     assert [rec.reused for rec in trace.attempts][-1] == (regime == LINF)
     assert_same_fit(dist, cfg)
 
@@ -297,46 +344,54 @@ def test_attempt_records_follow_the_doubling(monkeypatch):
     summary = trace_summary(trace, p_final)
     assert summary["dual_bound"] == trace.dual_bound
     assert [a["outcome"] for a in summary["attempts"]] == [rec.outcome for rec in trace.attempts]
-    assert set(summary["attempts"][0]) == {"p", "outcome", "best_value", "dual_bound", "reused"}
-    # each radius runs at most once, and none after a reused one
+    assert set(summary["attempts"][0]) == {
+        "p", "outcome", "best_value", "dual_bound", "reused", "dual_steps", "iterations"
+    }
+    assert sum(a["dual_steps"] for a in summary["attempts"]) == summary["dual_steps"]
+    # each radius runs at most once until its ball binds and once in full,
+    # none after a reused one, and each record counts its runs' iterations
     calls = []
 
-    def recording(dist, cfg, p):
-        calls.append(p)
-        return _run_single(dist, cfg, p)
+    def recording(dist, cfg, p, until_bound=False):
+        a, run = _run_single(dist, cfg, p, until_bound)
+        calls.append((p, until_bound, run.t.size))
+        return a, run
 
     monkeypatch.setattr(optimizer, "_run_single", recording)
     run_with_doubling(dist, cfg)
-    assert calls and len(set(calls)) == len(calls) and set(calls) <= set(ps)
-    reused = [rec.p for rec in trace.attempts if rec.reused]
-    assert all(p < min(reused, default=math.inf) for p in calls)
     monkeypatch.undo()
+    made = [(p, until_bound) for p, until_bound, _ in calls]
+    assert calls and len(set(made)) == len(made) and {p for p, _ in made} <= set(ps)
+    reused = [rec.p for rec in trace.attempts if rec.reused]
+    assert all(p < min(reused, default=math.inf) for p, _ in made)
+    for rec in trace.attempts:
+        assert rec.iterations == sum(size for p, _, size in calls if p == rec.p)
     # deterministic, the records included
     _, again, _ = run_with_doubling(dist, cfg)
     assert again.attempts == trace.attempts and again.notes == trace.notes
 
 
 def test_summary_reports_the_dual_in_both_regimes():
-    # no regret bound or regret note in either regime; the ascent steps
-    # always, and the dual bound whenever one was built: in linf, only when
-    # t_max // 20 is at least one
+    # no regret bound or regret note in either regime; the ascent steps and
+    # the dual bound always, whatever t_max
     dist = random_dist(np.random.default_rng(94), 5, 8)
-    for regime, t_max, built in ((L2, 5, True), (LINF, 20, True), (LINF, 19, False)):
+    beta = ball_geometry(dist, 0.0).beta
+    for regime, t_max in ((L2, 5), (LINF, 20), (LINF, 19)):
         cfg = OgdConfig(regime=regime, t_max=t_max, p_doublings_max=0)
         trace = run_with_doubling(dist, cfg)[1]
         summary = trace_summary(trace)
         assert not any("regret" in note for note in trace.notes)
         assert not {"regret_bound", "theoretical_t"} & set(summary)
-        # one attempt, which is the last: it always runs, with no ascent
+        # one attempt, which is the last: it always runs, with no ascent,
+        # so the bound is g(I) = beta / m
         assert summary["dual_steps"] == trace.dual_steps == 0
-        assert ("dual_bound" in summary) == built
-        if built:
-            assert summary["dual_bound"] == trace.dual_bound == trace.attempts[0].dual_bound
+        assert summary["dual_bound"] == trace.dual_bound == trace.attempts[0].dual_bound
+        assert trace.dual_bound == pytest.approx(beta / dist.m, rel=1e-12)
 
 
 def test_cap_exhausted_runs_the_last_radius():
-    """With the cap exhausted, ruled-out radii never ran, so the fit returned
-    is the best of the runs made; the last radius always runs.  Here every
+    """With the cap exhausted, ruled-out radii never completed a run, so the
+    fit returned is the best of the runs made; the last radius always runs.  Here every
     radius but the last is ruled out, and the last is rejected: the result is
     the reference's last run, which is also the reference's best."""
     dist = gen_importance(n=50, split=25, m=150, seed=0)[0]

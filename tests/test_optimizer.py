@@ -66,6 +66,24 @@ def test_config_rejects_bad_eps_and_p_init(kwargs):
         OgdConfig(regime=LINF, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_max", 2.5),
+        ("t_max", True),
+        ("t_max", "10"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("p_doublings_max", 1.5),
+        ("p_doublings_max", True),
+    ],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # each would otherwise fail later, inside numpy or range, with a TypeError
+    with pytest.raises(ValueError, match=field):
+        OgdConfig(regime=L2, **{field: value})
+
+
 def test_ball_geometry_beta():
     # A = {0}, B = {0,1}: b = (.5,.5), off-subspace part (0,.5), beta = .25
     dist = make_dist(2, [([0], [0, 1])])
