@@ -282,7 +282,7 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
     gs = _load_group_structure(metadata, dist_path)
     named = []
     for path in estimator_paths:
-        named.append((path.stem, load_estimator_file(path)))
+        named.append((path.stem, load_estimator_file(path, dist)))
     for name in baseline_names:
         named.append((name, baseline_estimator(name, dist, gs)))
     vectors = {spec: _dataset_vector(spec, dist.n) for spec in dataset_specs}
@@ -373,7 +373,7 @@ def cmd_lowerbound(dist_path, subset, estimator_path, baseline_name, metadata, o
     est = None
     est_name = None
     if estimator_path is not None:
-        est = load_estimator_file(estimator_path)
+        est = load_estimator_file(estimator_path, dist)
         est_name = estimator_path.stem
     elif baseline_name is not None:
         gs = _load_group_structure(metadata, dist_path)

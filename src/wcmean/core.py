@@ -18,7 +18,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -144,40 +146,91 @@ class SampleTargetDistribution:
         return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SemilinearEstimator:
-    """Per-pair weight vectors, stored sparsely as index -> weight maps.
+    """Per-pair weight vectors, stored as one masked (m, n) array.
 
-    Entry ``weights[i]`` answers pair ``i``; every key must lie in the
-    pair's sample set of the distribution it is used with.
+    Row ``i`` answers pair ``i``: ``support[i]`` marks the coordinates its
+    weight vector uses, and every one must lie in the pair's sample set of
+    the distribution the estimator is used with.  ``values`` holds the
+    weights, zero off the support; a support entry may hold an explicit
+    zero.  Both arrays are read-only, and ``dense()`` returns a writable
+    copy of ``values``.  The arrays are built by ``estimator_from_dense`` or
+    read from the sparse JSON form.  The ``(n, weights)`` constructor from
+    index -> weight maps and the ``weights`` view are adapters kept for the
+    benchmark's checks only.
     """
 
     n: int
-    weights: tuple[dict[int, float], ...]
+    support: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"population size must be >= 1, got {self.n}")
-        if len(self.weights) < 1:
+    def __init__(self, n: int, weights: tuple[dict[int, float], ...]):
+        if n < 1:
+            raise ValueError(f"population size must be >= 1, got {n}")
+        if len(weights) < 1:
             raise ValueError("at least one weight vector is required")
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate(weights):
             for j, val in w.items():
-                if not 0 <= int(j) < self.n:
-                    raise ValueError(f"weights[{i}]: index {j} outside [0, {self.n})")
+                if not 0 <= int(j) < n:
+                    raise ValueError(f"weights[{i}]: index {j} outside [0, {n})")
                 if not math.isfinite(val):
                     raise ValueError(f"weights[{i}][{j}] is not finite")
+        _set_arrays(self, *_scatter(n, weights))
 
     @property
     def m(self) -> int:
-        return len(self.weights)
+        return self.support.shape[0]
 
     def dense(self) -> np.ndarray:
-        """(m, n) dense weight matrix."""
-        arr = np.zeros((self.m, self.n))
-        for i, w in enumerate(self.weights):
-            for j, val in w.items():
-                arr[i, j] = val
-        return arr
+        """(m, n) dense weight matrix, a writable copy."""
+        return self.values.copy()
+
+    def __eq__(self, other):
+        if not isinstance(other, SemilinearEstimator):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.support, other.support)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def _rows(self) -> list[tuple[list[int], list[float]]]:
+        """Each row's support columns and values, from one row-major pass."""
+        cols = np.nonzero(self.support)[1].tolist()
+        vals = self.values[self.support].tolist()
+        ends = np.cumsum(self.support.sum(axis=1)).tolist()
+        return [(cols[s:e], vals[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+
+    @cached_property
+    def weights(self) -> tuple[MappingProxyType, ...]:
+        """Read-only index -> weight map per pair, listing every support
+        entry, explicit zeros included."""
+        return tuple(MappingProxyType(dict(zip(c, v))) for c, v in self._rows())
+
+
+def _scatter(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) support and values of checked index -> weight maps."""
+    rows = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
+    cols = np.fromiter(chain.from_iterable(weights), np.intp, len(rows))
+    vals = np.fromiter(chain.from_iterable(w.values() for w in weights), float, len(rows))
+    support = np.zeros((len(weights), n), dtype=bool)
+    values = np.zeros((len(weights), n))
+    support[rows, cols] = True
+    values[rows, cols] = vals
+    return support, values
+
+
+def _set_arrays(
+    est: SemilinearEstimator, support: np.ndarray, values: np.ndarray
+) -> SemilinearEstimator:
+    """Store the (m, n) support and values on est, making both read-only."""
+    support.setflags(write=False)
+    values.setflags(write=False)
+    object.__setattr__(est, "n", support.shape[1])
+    object.__setattr__(est, "support", support)
+    object.__setattr__(est, "values", values)
+    return est
 
 
 @dataclass(frozen=True)
@@ -248,17 +301,24 @@ class LossMatrix:
         return float(y @ y)
 
 
+def _check_shape(n: int, m: int, dist: SampleTargetDistribution) -> None:
+    if n != dist.n:
+        raise ValueError(f"population size mismatch: estimator {n}, distribution {dist.n}")
+    if m != dist.m:
+        raise ValueError(f"pair count mismatch: estimator {m}, distribution {dist.m}")
+
+
 def validate_estimator(est: SemilinearEstimator, dist: SampleTargetDistribution) -> None:
-    """Check n/m consistency and that every weight lies in its sample set."""
-    if est.n != dist.n:
-        raise ValueError(f"population size mismatch: estimator {est.n}, distribution {dist.n}")
-    if est.m != dist.m:
-        raise ValueError(f"pair count mismatch: estimator {est.m}, distribution {dist.m}")
-    for i, w in enumerate(est.weights):
-        sample = set(dist.pairs[i].sample)
-        for j in w:
-            if j not in sample:
-                raise SupportError(f"weights[{i}]: index {j} outside the sample set")
+    """Check n/m consistency and that the support lies in the sample sets.
+
+    One array test, ``support & ~dist.sample_mask``; a SupportError names
+    the first offending (i, j) in row-major order.
+    """
+    _check_shape(est.n, est.m, dist)
+    outside = est.support & ~dist.sample_mask
+    if outside.any():
+        i, j = np.argwhere(outside)[0].tolist()
+        raise SupportError(f"weights[{i}]: index {j} outside the sample set")
 
 
 def loss_factor(dist: SampleTargetDistribution, resid: np.ndarray) -> LossMatrix:
@@ -269,7 +329,7 @@ def loss_factor(dist: SampleTargetDistribution, resid: np.ndarray) -> LossMatrix
 def build_loss_matrix(est: SemilinearEstimator, dist: SampleTargetDistribution) -> LossMatrix:
     """Assemble M(a) = sum_i pi_i (a_i - b_i)(a_i - b_i)^T in factored form."""
     validate_estimator(est, dist)
-    return loss_factor(dist, est.dense() - dist.target_rows)
+    return loss_factor(dist, est.values - dist.target_rows)
 
 
 def fixed_data_error(
@@ -347,7 +407,15 @@ def distribution_to_dict(dist: SampleTargetDistribution) -> dict:
     return {"n": dist.n, "pairs": pairs}
 
 
-def estimator_from_dict(data) -> SemilinearEstimator:
+def estimator_from_dict(
+    data, dist: SampleTargetDistribution | None = None
+) -> SemilinearEstimator:
+    """Read the sparse JSON form, naming the first fault in a SchemaError.
+
+    Given ``dist``, the file's n and m are checked against it before the
+    (m, n) arrays are built, so a file cannot size them beyond the
+    distribution's.
+    """
     if not isinstance(data, dict) or "n" not in data or "weights" not in data:
         raise SchemaError("bad_schema", 'estimator JSON must have keys "n" and "weights"')
     n = data["n"]
@@ -383,13 +451,15 @@ def estimator_from_dict(data) -> SemilinearEstimator:
                 raise SchemaError("bad_schema", f"weights[{i}][{j}] is not finite")
             w[j] = val
         weights.append(w)
-    return SemilinearEstimator(n, tuple(weights))
+    if dist is not None:
+        _check_shape(n, len(weights), dist)
+    return _set_arrays(object.__new__(SemilinearEstimator), *_scatter(n, weights))
 
 
 def estimator_to_dict(est: SemilinearEstimator) -> dict:
     return {
         "n": est.n,
-        "weights": [[[j, float(w[j])] for j in sorted(w)] for w in est.weights],
+        "weights": [[[j, val] for j, val in zip(c, v)] for c, v in est._rows()],
     }
 
 
@@ -412,8 +482,10 @@ def save_distribution_file(dist: SampleTargetDistribution, path: str | Path) -> 
     Path(path).write_text(json.dumps(distribution_to_dict(dist)) + "\n")
 
 
-def load_estimator_file(path: str | Path) -> SemilinearEstimator:
-    return estimator_from_dict(_load_json(path))
+def load_estimator_file(
+    path: str | Path, dist: SampleTargetDistribution | None = None
+) -> SemilinearEstimator:
+    return estimator_from_dict(_load_json(path), dist)
 
 
 def save_estimator_file(est: SemilinearEstimator, path: str | Path) -> None:
@@ -428,16 +500,17 @@ def estimator_from_dense(
 
 
 def _estimator_on_mask(mask: np.ndarray, dense: np.ndarray) -> SemilinearEstimator:
-    """Wrap a dense weight array, keeping every coordinate set in the (m, n)
-    mask: the one array constructor, so only this module knows the format."""
+    """Wrap a dense weight array on the (m, n) support mask, which is kept
+    as given (shared, when read-only), and zero off it: the constructor
+    other modules reach, so only this module knows the format."""
     dense = np.asarray(dense, dtype=float)
     if dense.shape != mask.shape:
         raise ValueError(f"expected shape {mask.shape}, got {dense.shape}")
-    # one flat row-major pass, cut into rows: per-row numpy calls cost more
-    cols = np.nonzero(mask)[1].tolist()
-    vals = dense[mask].tolist()
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    weights = tuple(
-        dict(zip(cols[start:end], vals[start:end])) for start, end in zip([0] + ends[:-1], ends)
-    )
-    return SemilinearEstimator(mask.shape[1], weights)
+    values = np.where(mask, dense, 0.0)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"weights[{i}][{j}] is not finite")
+    if mask.flags.writeable:  # the caller may still write it
+        mask = mask.copy()
+    return _set_arrays(object.__new__(SemilinearEstimator), mask, values)

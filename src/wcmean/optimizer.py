@@ -132,13 +132,20 @@ class OgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = {"t_max": self.t_max, "seed": self.seed}
-        if self.p_doublings_max is not None:
-            counts["p_doublings_max"] = self.p_doublings_max
-        for name, value in counts.items():
-            # a float or bool count would fail later, inside numpy or range
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        # a float or bool count would fail later, inside numpy or range; a
+        # bool eps or p_init would run as 0 or 1, and a string fail in a
+        # comparison
+        types = {
+            "t_max": (int, "an int"),
+            "seed": (int, "an int"),
+            "p_doublings_max": ((int, type(None)), "an int"),
+            "eps": ((int, float), "a float"),
+            "p_init": ((int, float, type(None)), "a float"),
+        }
+        for name, (accepted, label) in types.items():
+            value = getattr(self, name)
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {label}, got {value!r}")
         if self.regime not in (LINF, L2):
             raise ValueError(f"regime must be {LINF!r} or {L2!r}, got {self.regime!r}")
         if not 0 < self.eps < math.inf:

@@ -582,6 +582,22 @@ def test_lowerbound_adversary_from_estimator_file(runner, tmp_path):
     assert certs["est"] == certs["sample_mean"]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "lowerbound"])
+def test_estimator_file_with_another_n_is_refused_before_it_is_built(runner, tmp_path, command):
+    # n = 10**15 would size the estimator's arrays at petabytes
+    dist = half_split_file(tmp_path)
+    est = tmp_path / "est.json"
+    est.write_text(json.dumps({"n": 10**15, "weights": [[[0, 1.0]]]}))
+    extra = ["--dataset", "constant"] if command == "evaluate" else []
+    result = runner.invoke(
+        main,
+        [command, "--dist", str(dist), "--estimator", str(est), *extra,
+         "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "population size mismatch" in result.output
+
+
 def test_lowerbound_unparsable_subset_is_usage_error(runner, tmp_path):
     dist = half_split_file(tmp_path)
     result = runner.invoke(

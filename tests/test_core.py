@@ -1,6 +1,7 @@
 """Core types: validation, loss matrix, serialization round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wcmean.core import (
     build_loss_matrix,
     distribution_from_dict,
     estimator_from_dense,
+    estimator_from_dict,
     fixed_data_error,
     load_distribution_file,
     load_estimator_file,
@@ -22,6 +24,8 @@ from wcmean.core import (
     save_estimator_file,
     validate_estimator,
 )
+from wcmean.baselines import selective_prediction_estimator
+from wcmean.collectors import gen_selective
 from wcmean.lowerbound import semilinear_callable
 
 TOL = 1e-12
@@ -104,6 +108,13 @@ def test_validate_estimator_rejects_off_support_weight():
     dist = make_dist(3, [([0, 1], [2])])
     est = SemilinearEstimator(3, ({0: 0.4, 2: 0.6},))
     with pytest.raises(SupportError):
+        validate_estimator(est, dist)
+
+
+def test_validate_estimator_names_the_first_offending_entry():
+    dist = make_dist(4, [([0, 1], [2]), ([0], [1]), ([1], [0])])
+    est = SemilinearEstimator(4, ({0: 0.4}, {0: 0.1, 2: 0.5, 3: 0.2}, {0: 1.0}))
+    with pytest.raises(SupportError, match=r"^weights\[1\]: index 2 outside the sample set$"):
         validate_estimator(est, dist)
 
 
@@ -193,6 +204,93 @@ def test_estimator_round_trip(tmp_path):
     loaded = load_estimator_file(path)
     assert loaded.n == est.n
     assert loaded.weights == est.weights
+
+
+# ── the estimator file's first fault ─────────────────────────────────
+# Each fault sits in row 1, between a valid row 0 and a row 2 that is out
+# of range, so the message must name row 1's fault, not row 2's.
+
+
+@pytest.mark.parametrize(
+    "row, code, message",
+    [
+        ("x", "bad_schema", "weights[1]: expected a list of [index, value]"),
+        ([[1, 0.5], 7], "bad_schema", "weights[1]: entries must be [index, value]"),
+        ([[1, 0.5, 0.5]], "bad_schema", "weights[1]: entries must be [index, value]"),
+        ([[True, 0.5]], "bad_schema", "weights[1]: entries must be [index, value]"),
+        ([[1.0, 0.5]], "bad_schema", "weights[1]: entries must be [index, value]"),
+        ([[1, True]], "bad_schema", "weights[1]: entries must be [index, value]"),
+        ([[-1, 0.5]], "index_out_of_range", "weights[1]: index -1 outside [0, 3)"),
+        ([[3, 0.5]], "index_out_of_range", "weights[1]: index 3 outside [0, 3)"),
+        ([[10**30, 0.5]], "index_out_of_range", f"weights[1]: index {10**30} outside [0, 3)"),
+        ([[2, 0.5], [1, 0.5], [2, 0.5]], "duplicate_indices", "weights[1]: duplicate index 2"),
+        ([[1, 0.5], [2, math.inf]], "bad_schema", "weights[1][2] is not finite"),
+        ([[1, 10**400]], "bad_schema", "weights[1]: value too large for a float"),
+    ],
+)
+def test_estimator_file_names_its_first_fault(tmp_path, row, code, message):
+    path = tmp_path / "est.json"
+    # json writes inf as Infinity, which json.loads reads back as a float
+    path.write_text(json.dumps({"n": 3, "weights": [[[0, 0.5], [2, 1]], row, [[5, 0.5]]]}))
+    with pytest.raises(SchemaError) as exc:
+        load_estimator_file(path)
+    assert (exc.value.code, str(exc.value)) == (code, message)
+
+
+def test_estimator_file_is_checked_against_the_distribution_before_building(tmp_path):
+    # a few bytes claiming n = 10**15 would ask for petabytes of arrays
+    dist = make_dist(3, [([0, 1], [2]), ([2], [0])])
+    path = tmp_path / "est.json"
+    path.write_text(json.dumps({"n": 10**15, "weights": [[[0, 1.0]], []]}))
+    with pytest.raises(ValueError, match=r"^population size mismatch: estimator 10{15}, distribution 3$"):
+        load_estimator_file(path, dist)
+    with pytest.raises(ValueError, match=r"^pair count mismatch: estimator 5, distribution 2$"):
+        estimator_from_dict({"n": 3, "weights": [[]] * 5}, dist)
+    # a fault inside the file is still named first, as without the distribution
+    with pytest.raises(SchemaError, match=r"duplicate index 0"):
+        estimator_from_dict({"n": 10**15, "weights": [[[0, 1.0], [0, 1.0]]]}, dist)
+    est = estimator_from_dict({"n": 3, "weights": [[[0, 0.5], [1, 0.5]], [[2, 1]]]}, dist)
+    assert est == SemilinearEstimator(3, ({0: 0.5, 1: 0.5}, {2: 1.0}))
+
+
+def test_estimator_file_keeps_explicit_zeros_byte_for_byte(tmp_path):
+    dist = gen_selective(n=12, windows=(1, 2, 4))
+    est = selective_prediction_estimator(dist)
+    dense = est.dense()
+    # the index -> weight maps the dict format held: every sample-set entry
+    maps = [{j: float(dense[i, j]) for j in pair.sample} for i, pair in enumerate(dist.pairs)]
+    assert any(0.0 in w.values() for w in maps)
+    assert est.weights == tuple(maps)
+    path = tmp_path / "est.json"
+    save_estimator_file(est, path)
+    rows = [[[j, w[j]] for j in sorted(w)] for w in maps]
+    assert path.read_text() == json.dumps({"n": dist.n, "weights": rows}) + "\n"
+    loaded = load_estimator_file(path)
+    assert loaded == est and loaded.weights == est.weights
+
+
+def test_estimator_file_reads_integer_values():
+    est = estimator_from_dict({"n": 3, "weights": [[[0, 1], [2, 2**70]], []]})
+    assert est == SemilinearEstimator(3, ({0: 1.0, 2: float(2**70)}, {}))
+
+
+def test_dense_is_a_copy_and_the_stored_arrays_are_read_only(tmp_path):
+    dist = make_dist(3, [([0, 1], [2]), ([2], [0])])
+    est = estimator_from_dense(dist, np.array([[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]))
+    assert est.support is dist.sample_mask
+    save_estimator_file(est, tmp_path / "est.json")
+    built = (est, load_estimator_file(tmp_path / "est.json"), SemilinearEstimator(3, ({1: 2.0},)))
+    for e in built:
+        for arr in (e.support, e.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+    arr = est.dense()
+    arr[:] = 5.0
+    np.testing.assert_array_equal(est.dense(), [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]])
+    assert est.weights[0] == {0: 0.3, 1: 0.7}
+    with pytest.raises(TypeError):
+        est.weights[0][0] = 1.0
 
 
 def test_load_rejects_malformed_json(tmp_path):

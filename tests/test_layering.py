@@ -29,3 +29,38 @@ def relative_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", ["collectors", "baselines"])
 def test_module_imports_nothing_above_it(module):
     assert relative_imports(module) & ABOVE == set()
+
+
+# The estimator's storage format is known to ``core`` alone: no other
+# module reads an attribute named ``weights`` or calls the
+# ``SemilinearEstimator`` constructor.  Other objects' ``weights``
+# attributes are named here, each expected exactly where it is read.
+OTHER_WEIGHTS = {("optimizer", "geom.weights")}
+
+
+def format_uses(module: str) -> tuple[set, list]:
+    """(module, expression) of each ``.weights`` read, and each
+    ``SemilinearEstimator(...)`` call, in a wcmean module."""
+    tree = ast.parse((Path(wcmean.__file__).parent / f"{module}.py").read_text())
+    reads, calls = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "weights":
+            reads.add((module, ast.unparse(node)))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "SemilinearEstimator":
+                calls.append((module, ast.unparse(node)))
+    return reads, calls
+
+
+def test_only_core_knows_the_estimator_format():
+    modules = sorted(p.stem for p in Path(wcmean.__file__).parent.glob("*.py"))
+    reads, calls = set(), []
+    for module in modules:
+        if module != "core":
+            module_reads, module_calls = format_uses(module)
+            reads |= module_reads
+            calls += module_calls
+    assert calls == []
+    assert reads == OTHER_WEIGHTS

@@ -84,6 +84,27 @@ def test_config_rejects_non_integer_counts(field, value):
         OgdConfig(regime=L2, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eps", True),
+        ("eps", "0.1"),
+        ("eps", None),
+        ("p_init", True),
+        ("p_init", "0.1"),
+    ],
+)
+def test_config_rejects_non_real_eps_and_p_init(field, value):
+    # a bool would otherwise run as 0 or 1, a string raise a TypeError
+    with pytest.raises(ValueError, match=field):
+        OgdConfig(regime=L2, **{field: value})
+
+
+def test_config_accepts_int_and_numpy_reals():
+    cfg = OgdConfig(regime=L2, eps=1, p_init=np.float64(0.05))
+    assert (cfg.eps, cfg.p_init) == (1, 0.05)
+
+
 def test_ball_geometry_beta():
     # A = {0}, B = {0,1}: b = (.5,.5), off-subspace part (0,.5), beta = .25
     dist = make_dist(2, [([0], [0, 1])])
