@@ -131,8 +131,7 @@ class SampleTargetDistribution:
     def sample_mask(self) -> np.ndarray:
         """(m, n) boolean mask of the sample sets."""
         mask = np.zeros((self.m, self.n), dtype=bool)
-        for i, pair in enumerate(self.pairs):
-            mask[i, list(pair.sample)] = True
+        mask[_entries([pair.sample for pair in self.pairs])] = True
         mask.setflags(write=False)
         return mask
 
@@ -140,8 +139,8 @@ class SampleTargetDistribution:
     def target_rows(self) -> np.ndarray:
         """(m, n) matrix whose row i is the target-averaging vector b_i."""
         rows = np.zeros((self.m, self.n))
-        for i, pair in enumerate(self.pairs):
-            rows[i, list(pair.target)] = 1.0 / len(pair.target)
+        i, j = _entries([pair.target for pair in self.pairs])
+        rows[i, j] = 1.0 / np.bincount(i)[i]
         rows.setflags(write=False)
         return rows
 
@@ -209,10 +208,16 @@ class SemilinearEstimator:
         return tuple(MappingProxyType(dict(zip(c, v))) for c, v in self._rows())
 
 
+def _entries(indices) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of the entries of per-row index
+    collections: row i holds the indices that ``indices[i]`` yields."""
+    rows = np.repeat(np.arange(len(indices)), [len(idx) for idx in indices])
+    return rows, np.fromiter(chain.from_iterable(indices), np.intp, len(rows))
+
+
 def _scatter(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
     """The (m, n) support and values of checked index -> weight maps."""
-    rows = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
-    cols = np.fromiter(chain.from_iterable(weights), np.intp, len(rows))
+    rows, cols = _entries(weights)
     vals = np.fromiter(chain.from_iterable(w.values() for w in weights), float, len(rows))
     support = np.zeros((len(weights), n), dtype=bool)
     values = np.zeros((len(weights), n))
@@ -245,7 +250,8 @@ class DataValues:
     norm_regime: str | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        # a copy, as the stored vector is made read-only
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("data values must be a nonempty 1-D vector")
         if not np.all(np.isfinite(vals)):
@@ -337,8 +343,9 @@ def fixed_data_error(
     dist: SampleTargetDistribution,
     x: DataValues | np.ndarray,
 ) -> float:
-    """Expected squared error on a fixed data vector: sum_i pi_i <a_i - b_i, x>^2."""
-    vals = x.values if isinstance(x, DataValues) else np.asarray(x, dtype=float)
+    """Expected squared error sum_i pi_i <a_i - b_i, x>^2 on fixed data x, a
+    DataValues or a raw array checked as one with no norm regime."""
+    vals = (x if isinstance(x, DataValues) else DataValues(x)).values
     if vals.size != dist.n:
         raise ValueError(f"data vector has size {vals.size}, expected {dist.n}")
     return build_loss_matrix(est, dist).quad(vals)

@@ -62,21 +62,6 @@ class ExperimentResult:
     provenance: dict
 
 
-def constant_values(n: int) -> np.ndarray:
-    return np.ones(n)
-
-
-def intergroup_values(n: int, split: int | None = None) -> np.ndarray:
-    """+1 on the first group, -1 on the second (split defaults to n/2)."""
-    split = n // 2 if split is None else split
-    return np.where(np.arange(n) < split, 1.0, -1.0)
-
-
-def intragroup_values(n: int) -> np.ndarray:
-    """Alternating +1/-1 within every group."""
-    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-
-
 def spatial_values(points: np.ndarray) -> np.ndarray:
     """Sum of the two coordinates of each population point."""
     points = np.asarray(points, dtype=float)
@@ -86,12 +71,15 @@ def spatial_values(points: np.ndarray) -> np.ndarray:
 
 
 def synthetic_values(row: str, n: int, split: int | None = None) -> np.ndarray:
+    """A synthetic dataset: ``constant`` all ones, ``intergroup`` +1 on the
+    first group and -1 on the second (split defaults to n/2), ``intragroup``
+    alternating +1/-1 within every group."""
     if row == "constant":
-        return constant_values(n)
+        return np.ones(n)
     if row == "intergroup":
-        return intergroup_values(n, split)
+        return np.where(np.arange(n) < (n // 2 if split is None else split), 1.0, -1.0)
     if row == "intragroup":
-        return intragroup_values(n)
+        return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     raise ValueError(f"unknown synthetic dataset {row!r}")
 
 

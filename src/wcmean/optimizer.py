@@ -51,15 +51,16 @@ whose ball never bound (lambda = 1 at every step) is the run of every
 larger radius too.  A rejected run of that kind is reused for the larger
 radii, with no run and no ascent before them.  Ruling out the radius of
 such a run saves nothing, so the ascent is spent only where a run binds:
-every attempt but the last runs first, only until its ball binds.  A run
-that never binds completes with no ascent.  One that binds is abandoned,
-after one to a few steps on the tested processes, and up to _DUAL_STEPS
-ascent steps are taken; the radius is then ruled out, or else run again in
-full.  A radius that the bound reached at smaller radii already rules out
-is skipped without running.  The accepted run is therefore the one the
-loop that runs every radius would make (in linf, barring such an
-under-reported acceptance).  The reported bound is only the one those
-steps reach, lower than an ascent at every radius would reach.
+every attempt but the last runs first, and a run that never binds completes
+with no ascent.  One that binds pauses at its first bound step (one to a
+few steps in, on the tested processes) for up to _DUAL_STEPS ascent steps,
+then stops, the radius ruled out, or continues: the ascent leaves the run's
+state alone, so it stays the fresh run at p.  A radius that the bound
+reached at smaller radii already rules out is skipped without running.  The
+accepted run is therefore the one the loop that runs every radius would
+make (in linf, barring such an under-reported acceptance).  The reported
+bound is only the one those steps reach, lower than an ascent at every
+radius would reach.
 
 The l2 subproblem is solved exactly; eps sets only the stopping rule of the
 linf SDP solver.
@@ -184,8 +185,8 @@ class AttemptRecord:
     value of its run (None when no run completed), the regime's dual bound
     when the attempt was decided, whether the attempt ``reused`` an earlier
     run whose ball never bound, so that no OGD ran for it, the
-    ``dual_steps`` of ascent taken at it and the OGD ``iterations`` run for
-    it, those of a run abandoned when its ball bound included."""
+    ``dual_steps`` of ascent taken at it and the OGD ``iterations`` of its
+    one run, which stopped early if the ascent ruled p out."""
 
     p: float
     outcome: str
@@ -369,12 +370,14 @@ def ogd_step(
 
 
 def _run_single(
-    dist: SampleTargetDistribution, cfg: OgdConfig, p: float, until_bound: bool = False
+    dist: SampleTargetDistribution, cfg: OgdConfig, p: float, dual: _Dual | None = None
 ) -> tuple[np.ndarray | None, OgdTrace]:
-    """One full OGD run at a fixed radius parameter p; returns (best dense a, trace).
+    """One OGD run at a fixed radius parameter p; returns (best dense a, trace).
 
-    With ``until_bound`` the run stops at the first step whose projection
-    binds (lambda < 1) and returns (None, the trace of the steps run).
+    Given ``dual``, the first step whose projection binds (lambda < 1) is
+    followed by the ascent at p.  If the dual then rules p out, the run
+    stops and returns (None, the trace of the steps run); else it continues
+    from its own state, which is the one a fresh run reaches there.
     """
     m, n = dist.m, dist.n
     r = radius_for(cfg.regime, m, p)
@@ -426,9 +429,16 @@ def _run_single(
         f_arr[t - 1] = f_t
         lam_arr[t - 1] = lam
         ms_arr[t - 1] = (time.perf_counter() - tic) * 1e3
-        abandoned = until_bound and lam < 1.0
-        if abandoned:
-            break
+        if dual is not None and lam < 1.0:
+            # the step's buffers, dropped while the ascent runs so that its
+            # temporaries do not add to them (0.7 MB of peak at n = 200)
+            grad = work = M = None
+            dual.raise_above(p)
+            if dual.rules_out(p):
+                best_a = None
+                break
+            dual = None
+            grad, work = np.empty((m, n)), np.empty((m, n))
     trace = OgdTrace(
         regime=cfg.regime,
         p=p,
@@ -442,7 +452,7 @@ def _run_single(
         best_value=best_value,
         notes=tuple(notes),
     )
-    return (None if abandoned else best_a), trace
+    return best_a, trace
 
 
 def _sample_batches(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -605,19 +615,19 @@ def run_with_doubling(
     """Grow p geometrically until the best objective is at most p.
 
     Each run starts afresh (same initialization, and in linf the same rng
-    seed, at every p).  Infeasible radii (r^2 < beta) are skipped by
-    doubling.  Every attempt but the last first runs only until its ball
-    binds.  A run that never binds completes with no dual ascent.  One that
-    binds is abandoned, and the dual ascent steps at p: once the regime's
-    bound rules p out (see the module docstring) the radius is skipped,
-    else it is run again in full.  Once a run is rejected whose ball never
-    bound, every larger radius reuses it, with no run and no ascent: it is
-    accepted at the first p at least its best value.  If the doubling cap
-    is exhausted the best run seen is returned with a diagnostic note;
-    ruled-out radii never completed a run, so it is the best of the runs
-    made, which may differ from the best of all radii.  If every radius was
-    infeasible, the last infeasibility error is raised.  With
-    ``p_doublings_max=0`` this is one run at ``p_init``.
+    seed, at every p), and each attempt makes at most one run.  Infeasible
+    radii (r^2 < beta) are skipped by doubling.  A run that never binds
+    completes with no dual ascent.  In every attempt but the last, a run
+    pauses at the first step whose ball binds, and the dual ascent steps at
+    p: once the regime's bound rules p out (see the module docstring) the
+    run stops and the radius is skipped, else the run continues.  Once a run
+    is rejected whose ball never bound, every larger radius reuses it, with
+    no run and no ascent: it is accepted at the first p at least its best
+    value.  If the doubling cap is exhausted the best run seen is returned
+    with a diagnostic note; ruled-out radii never completed a run, so it is
+    the best of the runs made, which may differ from the best of all radii.
+    If every radius was infeasible, the last infeasibility error is raised.
+    With ``p_doublings_max=0`` this is one run at ``p_init``.
     """
     n = dist.n
     p = cfg.p_init if cfg.p_init is not None else 1.0 / n
@@ -642,45 +652,34 @@ def run_with_doubling(
             p *= 2.0
             continue
         steps_before = dual.steps
-        iterations = 0
         if reused:
             a_dense, trace = unbound[0], replace(unbound[1], p=p)
         else:
             try:
-                a_dense, trace = _run_single(dist, cfg, p, until_bound=skippable)
+                a_dense, trace = _run_single(dist, cfg, p, dual if skippable else None)
             except InfeasibleBallError as exc:
                 records.append(AttemptRecord(p, "infeasible", None, dual.value))
                 last_infeasible = exc
                 p *= 2.0
                 continue
-            iterations = trace.t.size
-            if a_dense is None:
-                dual.raise_above(p)
-                if dual.rules_out(p):
-                    records.append(
-                        AttemptRecord(
-                            p, "ruled-out", None, dual.value,
-                            dual_steps=dual.steps - steps_before, iterations=iterations,
-                        )
-                    )
-                    p *= 2.0
-                    continue
-                a_dense, trace = _run_single(dist, cfg, p)
-                iterations += trace.t.size
-        accepted = trace.best_value <= p
+        ruled_out = a_dense is None
+        accepted = not ruled_out and trace.best_value <= p
+        outcome = "ruled-out" if ruled_out else "accepted" if accepted else "rejected"
         records.append(
             AttemptRecord(
-                p, "accepted" if accepted else "rejected", trace.best_value, dual.value,
-                reused=reused, dual_steps=dual.steps - steps_before, iterations=iterations,
+                p, outcome, None if ruled_out else trace.best_value, dual.value,
+                reused=reused, dual_steps=dual.steps - steps_before,
+                iterations=0 if reused else trace.t.size,
             )
         )
         if accepted:
             trace.notes = trace.notes + ("accepted",)
             return _fit(dist, (a_dense, trace, p), records, dual)
-        if best is None or trace.best_value < best[1].best_value:
-            best = (a_dense, trace, p)
-        if not reused and np.all(trace.lam == 1.0):
-            unbound = (a_dense, trace)
+        if not ruled_out:
+            if best is None or trace.best_value < best[1].best_value:
+                best = (a_dense, trace, p)
+            if not reused and np.all(trace.lam == 1.0):
+                unbound = (a_dense, trace)
         p *= 2.0
     if best is None:
         assert last_infeasible is not None

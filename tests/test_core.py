@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_dist
+from conftest import make_dist, random_dist
 from wcmean.core import (
+    L2,
+    LINF,
+    DataValues,
     IndexPair,
     SampleTargetDistribution,
     SchemaError,
@@ -44,6 +47,37 @@ def test_dist_basic_properties():
     np.testing.assert_allclose(
         dist.target_rows, [[0, 0, 1.0], [1 / 3, 1 / 3, 1 / 3]], atol=TOL
     )
+
+
+def loop_masks(dist):
+    """sample_mask and target_rows built pair by pair."""
+    mask = np.zeros((dist.m, dist.n), dtype=bool)
+    rows = np.zeros((dist.m, dist.n))
+    for i, pair in enumerate(dist.pairs):
+        mask[i, list(pair.sample)] = True
+        rows[i, list(pair.target)] = 1.0 / len(pair.target)
+    return mask, rows
+
+
+@pytest.mark.parametrize("kind", ["random", "weighted", "empty-samples", "all-empty"])
+def test_masks_match_a_per_pair_loop(kind):
+    rng = np.random.default_rng(31)
+    dist = random_dist(rng, 9, 14)
+    if kind == "weighted":
+        probs = rng.random(dist.m) + 0.1
+        dist = SampleTargetDistribution(dist.n, dist.pairs, tuple(probs / probs.sum()))
+    if kind == "empty-samples":
+        pairs = [IndexPair(() if i % 3 else p.sample, p.target) for i, p in enumerate(dist.pairs)]
+        dist = SampleTargetDistribution(dist.n, tuple(pairs))
+    if kind == "all-empty":
+        dist = make_dist(4, [([], [0, 1]), ([], [3]), ([], [0, 1, 2, 3])])
+    mask, rows = loop_masks(dist)
+    assert mask.any(axis=1).all() == (kind in ("random", "weighted"))
+    assert dist.sample_mask.dtype == mask.dtype and dist.target_rows.dtype == rows.dtype
+    # bit for bit, the 1/|B_i| entries included
+    assert dist.sample_mask.tobytes() == mask.tobytes()
+    assert dist.target_rows.tobytes() == rows.tobytes()
+    assert not dist.sample_mask.flags.writeable and not dist.target_rows.flags.writeable
 
 
 def test_dist_rejects_empty_target():
@@ -151,6 +185,36 @@ def test_fixed_data_error_hand_case():
     assert abs(fixed_data_error(est, dist, np.array([1.0, -1.0])) - 1.0) < TOL
     # constant data: estimate equals truth
     assert abs(fixed_data_error(est, dist, np.ones(2))) < TOL
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.full(2, np.nan), "data values must be finite"),
+        (np.array([1.0, np.inf]), "data values must be finite"),
+        (np.ones((2, 1)), "data values must be a nonempty 1-D vector"),
+        (np.ones(3), "data vector has size 3, expected 2"),
+    ],
+)
+def test_fixed_data_error_checks_a_raw_array(x, message):
+    # a raw array goes through the same checks as DataValues, and the size
+    # is checked against the distribution after them
+    dist, est = hand_case()
+    with pytest.raises(ValueError) as err:
+        fixed_data_error(est, dist, x)
+    assert str(err.value) == message
+    if x.ndim == 1 and np.all(np.isfinite(x)):
+        with pytest.raises(ValueError, match="data vector has size 3"):
+            fixed_data_error(est, dist, DataValues(x))
+
+
+@pytest.mark.parametrize("regime", [None, LINF, L2])
+def test_data_values_leave_the_callers_array_writable(regime):
+    a = np.ones(4)
+    data = DataValues(a, regime)
+    assert a.flags.writeable and not data.values.flags.writeable
+    a[0] = -1.0
+    assert data.values[0] == 1.0
 
 
 def test_loss_matrix_quad_matches_dense():

@@ -3,11 +3,11 @@
 g(X) = sum_i pi_i min over u on A_i of (u - b_i)^T X (u - b_i) is a lower
 bound on <M(a), X> for every semilinear a and every PSD X: so on
 n lambda_max(M(a)) when tr X = n, and on SDP_inf(M(a)) when X has unit
-diagonal.  ``run_with_doubling`` runs each radius but the last only until
-its ball binds, ascends the dual only then, and skips the radius once the
-regime's bound exceeds p; it reuses a rejected run whose ball never bound
-for every larger radius instead of running it again.  Neither may change
-an output:
+diagonal.  ``run_with_doubling`` pauses the run of each radius but the
+last where its ball first binds, ascends the dual only then, and stops the
+run once the regime's bound exceeds p, else lets it continue; it reuses a
+rejected run whose ball never bound for every larger radius instead of
+running it again.  Neither may change an output:
 ``reference_run_with_doubling`` below is the loop without either, in which
 every radius runs, kept as the reference in both regimes.
 """
@@ -210,17 +210,20 @@ def test_skipping_changes_no_output(name, regime):
     if regime == L2:
         assert trace.dual_bound <= trace.best_value
     # the ascent takes up to _DUAL_STEPS steps per attempt in either regime,
-    # and only at a radius whose run bound: one ruled out after part of a
-    # run, or one run again in full after it
+    # and only at a radius whose run bound: one ruled out after part of its
+    # run, or one whose run then continued to t_max.  Each attempt makes
+    # at most one run.
     assert trace.dual_steps == sum(rec.dual_steps for rec in trace.attempts)
     for rec in trace.attempts:
         assert rec.dual_steps <= optimizer._DUAL_STEPS
+        assert rec.iterations <= t_max
         if rec.dual_steps:
-            assert rec.outcome == "ruled-out" or rec.iterations > t_max
+            assert rec.iterations >= 1
+            assert rec.outcome == "ruled-out" or rec.iterations == t_max
         if rec.outcome == "ruled-out":
             # before any run, by the bound of a smaller radius, or after
             # part of a run, by the ascent at p
-            assert rec.iterations <= t_max and (rec.iterations > 0 or rec.dual_steps == 0)
+            assert rec.iterations > 0 or rec.dual_steps == 0
         if rec.reused or rec.outcome == "infeasible":
             assert rec.iterations == rec.dual_steps == 0
     assert all(rec.dual_bound is not None for rec in trace.attempts)
@@ -267,26 +270,26 @@ def test_reused_run_is_the_run_at_twice_the_radius(name, regime):
 @pytest.mark.parametrize(
     "regime, p_init, ran",
     [
-        # 0.2 binds and is ruled out; 0.4 binds, is not ruled out and is run
-        # again in full; 0.8 never binds and is accepted
-        (L2, 0.05, [(0.2, True, True), (0.4, True, True), (0.4, False, False), (0.8, True, False)]),
+        # 0.2 binds and is ruled out; 0.4 binds, is not ruled out and
+        # continues; 0.8 never binds and is accepted
+        (L2, 0.05, [(0.2, True, True), (0.4, True, False), (0.8, True, False)]),
         # 0.15 binds and is ruled out; 0.3 never binds, so the last radius
         # reuses it
         (LINF, 0.15, [(0.15, True, True), (0.3, True, False)]),
     ],
 )
-def test_a_run_whose_ball_binds_is_run_again(monkeypatch, regime, p_init, ran):
-    # the runs made, as (p, until_bound, abandoned): every radius but the
-    # last runs until its ball binds, and an abandoned radius is run again
-    # in full unless the ascent rules it out
+def test_a_run_whose_ball_binds_continues(monkeypatch, regime, p_init, ran):
+    # the runs made, as (p, given the doubling's _Dual, ruled out): every
+    # radius but the last runs with the dual, and a run whose ball binds
+    # either stops there, ruled out, or continues: one run per radius
     dist = random_dist(np.random.default_rng(21), 6, 5)
     cfg = OgdConfig(regime=regime, eps=0.05, t_max=4, seed=3, p_init=p_init)
     calls, runs = [], {}
 
-    def recording(dist, cfg, p, until_bound=False):
-        a, trace = _run_single(dist, cfg, p, until_bound)
-        calls.append((p, until_bound, a is None))
-        runs[p, until_bound] = a, trace
+    def recording(dist, cfg, p, dual=None):
+        a, trace = _run_single(dist, cfg, p, dual)
+        calls.append((p, isinstance(dual, _Dual), a is None))
+        runs[p] = a, trace
         return a, trace
 
     monkeypatch.setattr(optimizer, "_run_single", recording)
@@ -294,25 +297,28 @@ def test_a_run_whose_ball_binds_is_run_again(monkeypatch, regime, p_init, ran):
     monkeypatch.undo()
     assert calls == ran
     records = {rec.p: rec for rec in trace.attempts}
-    for p, until_bound, abandoned in ran:
-        if not until_bound:
-            continue  # a run again in full, checked with the abandoned one
-        rec, steps = records[p], runs[p, True][1].t.size
-        if not abandoned:
-            assert rec.dual_steps == 0 and rec.iterations == steps == cfg.t_max
-        elif (p, False) in runs:
-            # the ascent did not rule p out, and the run made in full is
+    for p, _, ruled_out in ran:
+        rec, (a, run) = records[p], runs[p]
+        bound = bool(np.any(run.lam < 1.0))
+        if ruled_out:
+            assert rec.outcome == "ruled-out" and rec.iterations == run.t.size < cfg.t_max
+            assert bound and run.lam[-1] < 1.0
+        elif bound:
+            # the ascent did not rule p out, and the run that continued is
             # _run_single's, bit for bit
             assert rec.outcome == "rejected" and rec.dual_steps >= 1
-            assert rec.iterations == steps + cfg.t_max
-            a, full = runs[p, False]
+            assert rec.iterations == cfg.t_max
             ref_a, ref = _run_single(dist, cfg, p)
             np.testing.assert_array_equal(a, ref_a)
-            np.testing.assert_array_equal(full.f_t, ref.f_t)
-            np.testing.assert_array_equal(full.lam, ref.lam)
-            assert full.best_t == ref.best_t and rec.best_value == ref.best_value
+            np.testing.assert_array_equal(run.f_t, ref.f_t)
+            np.testing.assert_array_equal(run.lam, ref.lam)
+            assert run.best_t == ref.best_t and rec.best_value == ref.best_value
         else:
-            assert rec.outcome == "ruled-out" and rec.iterations == steps < cfg.t_max
+            assert rec.dual_steps == 0 and rec.iterations == cfg.t_max
+    # not vacuous: the l2 fit has a run that binds and continues
+    assert any(rec.outcome == "rejected" and rec.dual_steps for rec in trace.attempts) == (
+        regime == L2
+    )
     assert [rec.reused for rec in trace.attempts][-1] == (regime == LINF)
     assert_same_fit(dist, cfg)
 
@@ -348,24 +354,24 @@ def test_attempt_records_follow_the_doubling(monkeypatch):
         "p", "outcome", "best_value", "dual_bound", "reused", "dual_steps", "iterations"
     }
     assert sum(a["dual_steps"] for a in summary["attempts"]) == summary["dual_steps"]
-    # each radius runs at most once until its ball binds and once in full,
-    # none after a reused one, and each record counts its runs' iterations
+    # each radius runs at most once, none after a reused one, and each
+    # record counts its one run's iterations, at most t_max
     calls = []
 
-    def recording(dist, cfg, p, until_bound=False):
-        a, run = _run_single(dist, cfg, p, until_bound)
-        calls.append((p, until_bound, run.t.size))
+    def recording(dist, cfg, p, dual=None):
+        a, run = _run_single(dist, cfg, p, dual)
+        calls.append((p, run.t.size))
         return a, run
 
     monkeypatch.setattr(optimizer, "_run_single", recording)
     run_with_doubling(dist, cfg)
     monkeypatch.undo()
-    made = [(p, until_bound) for p, until_bound, _ in calls]
-    assert calls and len(set(made)) == len(made) and {p for p, _ in made} <= set(ps)
+    made = [p for p, _ in calls]
+    assert made and len(set(made)) == len(made) and set(made) <= set(ps)
     reused = [rec.p for rec in trace.attempts if rec.reused]
-    assert all(p < min(reused, default=math.inf) for p, _ in made)
+    assert all(p < min(reused, default=math.inf) for p in made)
     for rec in trace.attempts:
-        assert rec.iterations == sum(size for p, _, size in calls if p == rec.p)
+        assert rec.iterations == dict(calls).get(rec.p, 0) <= cfg.t_max
     # deterministic, the records included
     _, again, _ = run_with_doubling(dist, cfg)
     assert again.attempts == trace.attempts and again.notes == trace.notes

@@ -128,44 +128,70 @@ def test_uniform_init():
 # ── projection ───────────────────────────────────────────────────────
 
 
+def weighted_dist(rng, n, m):
+    """A random distribution with explicit, unequal pair probabilities."""
+    pairs = random_dist(rng, n, m).pairs
+    probs = rng.random(m) + 0.1
+    return SampleTargetDistribution(n, pairs, tuple(probs / probs.sum()))
+
+
+def weighted_sq(dist, diff):
+    """sum_i w_i ||diff_i||^2, with w_i = m pi_i (one for a uniform process)."""
+    return float(np.sum(dist.pair_weights[:, None] * diff**2))
+
+
+def geom_beta(dist):
+    b = dist.target_rows
+    return weighted_sq(dist, b - np.where(dist.sample_mask, b, 0.0))
+
+
 def test_projection_matches_scalar_oracle():
+    def check(dist, est, label):
+        geom = ball_geometry(dist, math.sqrt(geom_beta(dist)) + 0.5)
+        projected = project_to_ball(est, geom)
+        # independent 1-D solution: lam = min(1, sqrt(slack / d^2)), with
+        # d^2 = sum_i w_i ||a_i - c_i||^2
+        a = est.dense()
+        d2 = weighted_sq(dist, a - geom.center)
+        lam = 1.0 if d2 == 0.0 else min(1.0, math.sqrt(max(geom.squared_slack, 0.0) / d2))
+        expect = lam * a + (1 - lam) * geom.center
+        np.testing.assert_allclose(projected.dense(), expect, atol=PROJ_TOL, err_msg=label)
+        return lam
+
     rng = np.random.default_rng(21)
     for trial in range(25):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, 7))
         dist = random_dist(rng, n, m)
-        est = random_estimator(rng, dist, scale=3.0)
-        geom = ball_geometry(dist, math.sqrt(geom_beta(dist)) + 0.5)
-        projected = project_to_ball(est, geom)
-        # independent 1-D solution: lam = min(1, sqrt(slack / ||a - c||^2))
-        a = est.dense()
-        d2 = float(np.sum((a - geom.center) ** 2))
-        lam = 1.0 if d2 == 0.0 else min(1.0, math.sqrt(max(geom.squared_slack, 0.0) / d2))
-        expect = lam * a + (1 - lam) * geom.center
-        np.testing.assert_allclose(
-            projected.dense(), expect, atol=PROJ_TOL, err_msg=f"trial {trial}"
-        )
-
-
-def geom_beta(dist):
-    b = dist.target_rows
-    return float(np.sum((b - np.where(dist.sample_mask, b, 0.0)) ** 2))
+        check(dist, random_estimator(rng, dist, scale=3.0), f"trial {trial}")
+    rng = np.random.default_rng(28)
+    dist = weighted_dist(rng, 7, 6)
+    assert check(dist, random_estimator(rng, dist, scale=3.0), "weighted") < 1.0
 
 
 def test_projection_feasible_and_idempotent():
+    def check(dist, est, r):
+        geom = ball_geometry(dist, r)
+        once = project_to_ball(est, geom)
+        dense = once.dense()
+        dist_to_b = math.sqrt(weighted_sq(dist, dense - dist.target_rows))
+        assert dist_to_b <= r + PROJ_TOL
+        twice = project_to_ball(once, geom)
+        np.testing.assert_allclose(twice.dense(), dense, atol=PROJ_TOL)
+        return dense
+
     rng = np.random.default_rng(22)
     for _ in range(25):
         n = int(rng.integers(2, 9))
         dist = random_dist(rng, n, 5)
         est = random_estimator(rng, dist, scale=4.0)
-        r = math.sqrt(geom_beta(dist)) + float(rng.random()) + 0.1
-        geom = ball_geometry(dist, r)
-        once = project_to_ball(est, geom)
-        dense = once.dense()
-        dist_to_b = math.sqrt(float(np.sum((dense - dist.target_rows) ** 2)))
-        assert dist_to_b <= r + PROJ_TOL
-        twice = project_to_ball(once, geom)
-        np.testing.assert_allclose(twice.dense(), dense, atol=PROJ_TOL)
+        check(dist, est, math.sqrt(geom_beta(dist)) + float(rng.random()) + 0.1)
+    rng = np.random.default_rng(29)
+    dist = weighted_dist(rng, 7, 6)
+    est = random_estimator(rng, dist, scale=4.0)
+    r = math.sqrt(geom_beta(dist)) + 0.3
+    # not vacuous: the weighted ball binds
+    assert not np.array_equal(check(dist, est, r), est.dense())
 
 
 def test_projection_keeps_interior_points():
