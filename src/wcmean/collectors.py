@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .baselines import GroupStructure
 from .core import IndexPair, SampleTargetDistribution
+
+
+def _is_int(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_ints(**counts) -> None:
+    """Refuse a float or bool count, which would be truncated, run as 0 or 1,
+    or fail inside numpy or ``range`` with a TypeError."""
+    for name, value in counts.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _check_m_seed(m: int, seed: int) -> None:
@@ -31,9 +45,12 @@ def gen_importance(
     Indices [0, split) are included with probs[0], the rest with probs[1];
     every target set is the full population.
     """
+    _check_ints(n=n, split=split, m=m, seed=seed)
     if not 0 < split < n:
         raise ValueError(f"split must lie strictly inside (0, {n}), got {split}")
     for p in probs:
+        if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+            raise ValueError(f"probs must hold floats, got {p!r}")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"inclusion probabilities must lie in (0, 1], got {p}")
     _check_m_seed(m, seed)
@@ -48,7 +65,7 @@ def gen_importance(
         groups=(tuple(range(split)), tuple(range(split, n))),
         inclusion_prob=inclusion,
     )
-    return SampleTargetDistribution(n, pairs), gs
+    return SampleTargetDistribution(int(n), pairs), gs
 
 
 def _recruitment_lists(
@@ -103,17 +120,30 @@ class _Draws:
     Lemire's multiply with numpy's rejection threshold (Lemire 2019).
     ``choice(pop, size)`` equals ``rng.choice(pop, size, replace=False)``:
     Floyd's sampling (Bentley & Floyd 1987) and a Fisher-Yates pass, or
-    numpy's tail shuffle for pop > 10 000.  Blocks are read ahead of the
-    last draw, so the Generator must serve nothing else afterwards.
+    numpy's tail shuffle for pop > 10 000.  ``sampler(pop, size)`` builds
+    that draw once as a function of no arguments, whose Floyd and
+    Fisher-Yates indices take Lemire's multiply and shift inline, so a
+    snowball recruit costs one Python call; only the rare rejection goes
+    through ``_redraw``.  Blocks are read ahead of the last draw, so the
+    Generator must serve nothing else afterwards.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._next = self._stream().__next__
+        # chain's C-level __next__ reads a block per _BLOCK draws and
+        # resumes no Python frame in between
+        self._next = chain.from_iterable(iter(self._block, None)).__next__
 
-    def _stream(self):
-        while True:
-            yield from self._rng.integers(0, 2**32, size=_BLOCK, dtype=np.uint32).tolist()
+    def _block(self) -> list[int]:
+        return self._rng.integers(0, 2**32, size=_BLOCK, dtype=np.uint32).tolist()
+
+    def _redraw(self, m: int, span: int) -> int:
+        """Lemire's product ``m`` for ``span``, drawn again while its low word
+        is under numpy's threshold; called only when that word is under span."""
+        threshold = (0x100000000 - span) % span
+        while (m & 0xFFFFFFFF) < threshold:
+            m = self._next() * span
+        return m
 
     def bounded(self, hi: int) -> int:
         """A uniform integer in [0, hi] for hi < 2**32; hi == 0 consumes no draw."""
@@ -122,34 +152,58 @@ class _Draws:
         span = hi + 1
         m = self._next() * span
         if (m & 0xFFFFFFFF) < span:
-            threshold = (0xFFFFFFFF - hi) % span
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._next() * span
+            m = self._redraw(m, span)
         return m >> 32
 
     def choice(self, pop: int, size: int) -> list[int]:
         """``size`` distinct uniform picks from range(pop), in numpy's order."""
-        bounded = self.bounded
+        return self.sampler(pop, size)()
+
+    def sampler(self, pop: int, size: int) -> Callable[[], list[int]]:
+        """``choice(pop, size)`` as a function of no arguments, built once for
+        a caller that draws with the same pop and size again and again."""
         if pop > 10_000 and size > pop // 50:
-            # the last `size` places of a Fisher-Yates pass run from the end
-            idx = list(range(pop))
-            for i in range(pop - 1, pop - size - 1, -1):
-                j = bounded(i)
-                idx[i], idx[j] = idx[j], idx[i]
-            return idx[pop - size :]
-        picks = []
-        taken = set()
-        for j in range(pop - size, pop):
-            v = bounded(j)
-            if v in taken:
-                v = j
-            taken.add(v)
-            picks.append(v)
-        # each swap index is a Lemire draw too, not numpy's masked one
-        for i in range(size - 1, 0, -1):
-            j = bounded(i)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
+            bounded = self.bounded
+
+            def tail_shuffle() -> list[int]:
+                # the last `size` places of a Fisher-Yates pass run from the end
+                idx = list(range(pop))
+                for i in range(pop - 1, pop - size - 1, -1):
+                    j = bounded(i)
+                    idx[i], idx[j] = idx[j], idx[i]
+                return idx[pop - size :]
+
+            return tail_shuffle
+        nxt, redraw = self._next, self._redraw
+        floyd, shuffle = range(pop - size, pop), range(size - 1, 0, -1)
+
+        def floyd_shuffle() -> list[int]:
+            picks = []
+            taken = set()
+            for j in floyd:
+                if j:
+                    span = j + 1
+                    m = nxt() * span
+                    if (m & 0xFFFFFFFF) < span:
+                        m = redraw(m, span)
+                    v = m >> 32
+                    if v in taken:
+                        v = j
+                else:  # a draw from range(1) is 0 and consumes no draw
+                    v = 0
+                taken.add(v)
+                picks.append(v)
+            # each swap index is a Lemire draw too, not numpy's masked one
+            for i in shuffle:
+                span = i + 1
+                m = nxt() * span
+                if (m & 0xFFFFFFFF) < span:
+                    m = redraw(m, span)
+                j = m >> 32
+                picks[i], picks[j] = picks[j], picks[i]
+            return picks
+
+        return floyd_shuffle
 
 
 def gen_snowball(
@@ -186,7 +240,14 @@ def gen_snowball(
       (starts are then restricted to vertices that can reach k members).
       A draw still short of k after ``_MAX_REGROWTHS`` regrowths raises
       ValueError.
+
+    Every sample is the one that ``Generator.integers`` for the starts and
+    ``Generator.choice(..., replace=False)`` for each recruiter's picks
+    would draw; ``_Draws`` makes those draws with one Python call per
+    recruiter, in a growth loop of its own for each traversal.  The counts
+    must be ints or numpy integers: a float or a bool raises ValueError.
     """
+    _check_ints(n=n, k=k, num_neighbors=num_neighbors, recruit=recruit, m=m, seed=seed)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if not 1 <= num_neighbors < n:
@@ -215,44 +276,56 @@ def gen_snowball(
     def pick_start() -> int:
         return viable[draws.bounded(len(viable) - 1)]
 
-    def add_fresh(included: set[int], queue: deque[int]) -> None:
+    def add_fresh(included: set[int]) -> int:
         fresh = [v for v in range(n) if v not in included]
         v = fresh[draws.bounded(len(fresh) - 1)]
         included.add(v)
-        queue.append(v)
+        return v
 
-    def grow_once(s: int) -> set[int] | None:
-        """One growth attempt; None signals a stall under the redraw policy."""
+    # each vertex's candidates and the draw of its recruits among them; a
+    # vertex with none (mutual graph) recruits none and draws nothing
+    recruits = [(cands, draws.sampler(len(cands), min(recruit, len(cands)))) for cands in nbrs]
+
+    # one growth attempt per traversal; None signals a stall under redraw
+    def grow_fifo(s: int) -> set[int] | None:
         included = {s}
         queue: deque[int] = deque([s])
         while len(included) < k:
-            if traversal == "fifo":
-                if not queue:
-                    if stall == "redraw":
-                        return None
-                    add_fresh(included, queue)
-                    continue
-                recruiters = [queue.popleft()]
-            else:
-                recruiters = sorted(included)
+            if not queue:
+                if stall == "redraw":
+                    return None
+                queue.append(add_fresh(included))
+                continue
+            cands, pick = recruits[queue.popleft()]
+            for i in pick():
+                u = cands[i]
+                if u not in included:
+                    included.add(u)
+                    if len(included) == k:
+                        return included
+                    queue.append(u)
+        return included
+
+    def grow_rounds(s: int) -> set[int] | None:
+        included = {s}
+        while len(included) < k:
             grew = False
-            for recruiter in recruiters:
-                cands = nbrs[recruiter]
-                if not cands:
-                    continue
-                for i in draws.choice(len(cands), min(recruit, len(cands))):
+            for recruiter in sorted(included):
+                cands, pick = recruits[recruiter]
+                for i in pick():
                     u = cands[i]
                     if u not in included:
                         included.add(u)
-                        queue.append(u)
                         grew = True
                         if len(included) == k:
                             return included
-            if traversal == "rounds" and not grew:
+            if not grew:
                 if stall == "redraw":
                     return None
-                add_fresh(included, queue)
+                add_fresh(included)
         return included
+
+    grow_once = grow_fifo if traversal == "fifo" else grow_rounds
 
     def draw(s: int) -> set[int]:
         for _ in range(_MAX_REGROWTHS):
@@ -270,7 +343,7 @@ def gen_snowball(
     for _ in range(m):
         s = fixed_start if fixed_start is not None else pick_start()
         pairs.append(IndexPair(tuple(sorted(draw(s))), full))
-    return SampleTargetDistribution(n, tuple(pairs)), points
+    return SampleTargetDistribution(int(n), tuple(pairs)), points
 
 
 def gen_selective(
@@ -289,10 +362,13 @@ def gen_selective(
     1 / (len(windows) (n - 2w + 1)).  A window with 2w > n has no valid
     prefix and is an error.
     """
-    windows = tuple(int(w) for w in windows)
+    _check_ints(n=n)
+    windows = tuple(windows)
     if not windows:
         raise ValueError("at least one window length is required")
     for w in windows:
+        if not _is_int(w):
+            raise ValueError(f"windows must hold ints, got {w!r}")
         if w < 1:
             raise ValueError(f"window lengths must be >= 1, got {w}")
         if 2 * w > n:
@@ -309,5 +385,5 @@ def gen_selective(
                 target = tuple(range(t, t + w))
             pairs.append(IndexPair(sample, target))
             probs.append(1.0 / (len(windows) * len(prefixes)))
-    return SampleTargetDistribution(n, tuple(pairs), tuple(probs))
+    return SampleTargetDistribution(int(n), tuple(pairs), tuple(probs))
 

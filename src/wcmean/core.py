@@ -486,7 +486,8 @@ def load_distribution_file(path: str | Path) -> SampleTargetDistribution:
 
 
 def save_distribution_file(dist: SampleTargetDistribution, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(distribution_to_dict(dist)) + "\n")
+    # the dict is built fresh, so it holds no cycle to look for
+    Path(path).write_text(json.dumps(distribution_to_dict(dist), check_circular=False) + "\n")
 
 
 def load_estimator_file(
@@ -496,7 +497,8 @@ def load_estimator_file(
 
 
 def save_estimator_file(est: SemilinearEstimator, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(estimator_to_dict(est)) + "\n")
+    # a fresh dict too
+    Path(path).write_text(json.dumps(estimator_to_dict(est), check_circular=False) + "\n")
 
 
 def estimator_from_dense(

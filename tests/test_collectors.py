@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wcmean.collectors import (
+    _BLOCK,
     _MAX_REGROWTHS,
     _Draws,
     _reachable_count,
@@ -77,6 +78,55 @@ def test_generators_reject_bad_m_and_seed_themselves(generate):
         generate(m=0)
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
         generate(m=3, seed=-1)
+
+
+SMALL = {
+    gen_importance: dict(n=10, split=5, m=5),
+    gen_snowball: dict(n=10, k=2, num_neighbors=3, m=5),
+    gen_selective: dict(n=8),
+}
+
+
+@pytest.mark.parametrize(
+    "generate, field, value",
+    [
+        # a float count was truncated, run as a bool's 0 or 1, or failed
+        # with a TypeError from numpy or range that the CLI maps to no exit code
+        (gen_snowball, "k", 2.5),
+        (gen_snowball, "k", True),
+        (gen_snowball, "n", 10.0),
+        (gen_snowball, "num_neighbors", 3.0),
+        (gen_snowball, "recruit", 2.0),
+        (gen_snowball, "m", 5.0),
+        (gen_snowball, "seed", 1.5),
+        (gen_importance, "n", 10.0),
+        (gen_importance, "split", 2.5),
+        (gen_importance, "m", 5.0),
+        (gen_importance, "seed", 0.0),
+        (gen_importance, "probs", (0.1, True)),
+        (gen_selective, "n", 8.0),
+        (gen_selective, "windows", (1.7,)),
+    ],
+)
+def test_generators_refuse_non_integer_counts(generate, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must (be an int|hold ints|hold floats), got "):
+        generate(**{**SMALL[generate], field: value})
+
+
+def test_generators_take_numpy_integer_counts(tmp_path):
+    counts = dict(n=10, k=4, num_neighbors=3, recruit=2, m=5, seed=1)
+    built = [
+        (gen_snowball(**{key: np.int64(v) for key, v in counts.items()})[0], gen_snowball(**counts)[0]),
+        (
+            gen_importance(**{key: np.int32(v) for key, v in SMALL[gen_importance].items()})[0],
+            gen_importance(**SMALL[gen_importance])[0],
+        ),
+        (gen_selective(n=np.int64(8), windows=(np.int64(2),)), gen_selective(n=8, windows=(2,))),
+    ]
+    for dist, expected in built:
+        # the same process, and a file json can write: n is a Python int
+        assert dist == expected and type(dist.n) is int
+        save_distribution_file(dist, tmp_path / "d.json")
 
 
 # ── snowball sampling ────────────────────────────────────────────────
@@ -292,6 +342,83 @@ def test_draws_match_generator_choice_on_large_populations(pop, size):
     for _ in range(2):
         assert draws.choice(pop, size) == ref.choice(pop, size, replace=False).tolist()
     assert draws.bounded(pop) == int(ref.integers(pop + 1))
+
+
+class WordStream:
+    """A stand-in Generator whose ``integers`` serves fixed uint32 words in blocks."""
+
+    def __init__(self, words):
+        self.words = words
+        self.served = 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**32, np.uint32)
+        block = self.words[self.served : self.served + size]
+        self.served += size
+        return np.array(block, dtype=np.uint32)
+
+
+class ScalarLemire:
+    """numpy's bounded draw for one uint32 range, word by word, with no block
+    reads: ``buffered_bounded_lemire_uint32`` in numpy's distributions.c."""
+
+    def __init__(self, words):
+        self.words = words
+        self.pos = 0
+        self.rejected = []  # (span, position of the rejected word)
+
+    def draw(self, rng):
+        if rng == 0:
+            return 0
+        rng_excl = rng + 1
+        m = self.words[self.pos] * rng_excl
+        self.pos += 1
+        leftover = m & 0xFFFFFFFF
+        if leftover < rng_excl:
+            threshold = (0xFFFFFFFF - rng) % rng_excl
+            while leftover < threshold:
+                self.rejected.append((rng_excl, self.pos - 1))
+                m = self.words[self.pos] * rng_excl
+                self.pos += 1
+                leftover = m & 0xFFFFFFFF
+        return m >> 32
+
+    def choice(self, pop, size):
+        """Generator.choice(pop, size, replace=False) for pop <= 10 000."""
+        idx = []
+        for j in range(pop - size, pop):
+            v = self.draw(j)
+            idx.append(j if v in idx else v)
+        for i in range(size - 1, 0, -1):
+            j = self.draw(i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx
+
+
+def test_draws_take_numpys_rejections_inside_choice():
+    # numpy rejects a product whose low word is under (2**32 - span) % span:
+    # word 0 for every span but powers of two, and for span 50 any low word
+    # under 46, such as the 4 that this word gives
+    low_50 = 2 * pow(25, -1, 2**31)
+    assert (low_50 * 50) & 0xFFFFFFFF == 4 < (2**32 - 50) % 50
+    words = np.random.default_rng(0).integers(0, 2**32, size=3 * _BLOCK, dtype=np.uint32).tolist()
+    words[::3] = [0] * len(words[::3])
+    words[1::7] = [low_50] * len(words[1::7])
+    # a run of zeros where the first block ends, so a rejection reads on into the next
+    words[_BLOCK - 4 : _BLOCK + 1] = [0] * 5
+    draws, ref = _Draws(WordStream(words)), ScalarLemire(words)
+    reused = draws.sampler(5, 3)  # as gen_snowball keeps one per vertex
+    while ref.pos < 2 * _BLOCK:
+        assert draws.choice(3, 2) == ref.choice(3, 2), ref.pos
+        assert reused() == ref.choice(5, 3), ref.pos
+        assert draws.bounded(4) == ref.draw(4), ref.pos
+        assert draws.choice(50, 2) == ref.choice(50, 2), ref.pos
+        assert draws.choice(5, 5) == ref.choice(5, 5), ref.pos
+        assert draws.bounded(49) == ref.draw(49), ref.pos
+    spans = {span for span, _ in ref.rejected}
+    assert {3, 5, 50} <= spans
+    assert (_BLOCK - 1) in {pos for _, pos in ref.rejected}
+    assert draws.choice(0, 0) == []
 
 
 # ── selective prediction ─────────────────────────────────────────────

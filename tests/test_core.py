@@ -331,6 +331,12 @@ def test_estimator_file_keeps_explicit_zeros_byte_for_byte(tmp_path):
     assert path.read_text() == json.dumps({"n": dist.n, "weights": rows}) + "\n"
     loaded = load_estimator_file(path)
     assert loaded == est and loaded.weights == est.weights
+    # the distribution file, with its pair probabilities, byte for byte too
+    path = tmp_path / "dist.json"
+    save_distribution_file(dist, path)
+    pairs = [{"A": list(pair.sample), "B": list(pair.target), "p": p} for pair, p in zip(dist.pairs, dist.probs)]
+    assert path.read_text() == json.dumps({"n": dist.n, "pairs": pairs}) + "\n"
+    assert load_distribution_file(path) == dist
 
 
 def test_estimator_file_reads_integer_values():
