@@ -118,13 +118,12 @@ class _Draws:
     argument handling, which costs about 12 µs per call and made most of
     the generator's time.  ``bounded(hi)`` equals ``rng.integers(hi + 1)``:
     Lemire's multiply with numpy's rejection threshold (Lemire 2019).
-    ``choice(pop, size)`` equals ``rng.choice(pop, size, replace=False)``:
-    Floyd's sampling (Bentley & Floyd 1987) and a Fisher-Yates pass, or
-    numpy's tail shuffle for pop > 10 000.  ``sampler(pop, size)`` builds
-    that draw once as a function of no arguments, whose Floyd and
-    Fisher-Yates indices take Lemire's multiply and shift inline, so a
-    snowball recruit costs one Python call; only the rare rejection goes
-    through ``_redraw``.  Blocks are read ahead of the last draw, so the
+    ``sampler(pop, size)`` builds ``rng.choice(pop, size, replace=False)``
+    once as a function of no arguments: Floyd's sampling (Bentley & Floyd
+    1987) and a Fisher-Yates pass, whose indices take Lemire's multiply and
+    shift inline, or numpy's tail shuffle for pop > 10 000.  So a snowball
+    recruit costs one Python call; only the rare rejection goes through
+    ``_redraw``.  Blocks are read ahead of the last draw, so the
     Generator must serve nothing else afterwards.
     """
 
@@ -155,13 +154,10 @@ class _Draws:
             m = self._redraw(m, span)
         return m >> 32
 
-    def choice(self, pop: int, size: int) -> list[int]:
-        """``size`` distinct uniform picks from range(pop), in numpy's order."""
-        return self.sampler(pop, size)()
-
     def sampler(self, pop: int, size: int) -> Callable[[], list[int]]:
-        """``choice(pop, size)`` as a function of no arguments, built once for
-        a caller that draws with the same pop and size again and again."""
+        """``size`` distinct uniform picks from range(pop), in numpy's order,
+        as a function of no arguments, built once for a caller that draws
+        with the same pop and size again and again."""
         if pop > 10_000 and size > pop // 50:
             bounded = self.bounded
 

@@ -156,8 +156,8 @@ class SemilinearEstimator:
     zero.  Both arrays are read-only, and ``dense()`` returns a writable
     copy of ``values``.  The arrays are built by ``estimator_from_dense`` or
     read from the sparse JSON form.  The ``(n, weights)`` constructor from
-    index -> weight maps and the ``weights`` view are adapters kept for the
-    benchmark's checks only.
+    index -> weight maps and the ``weights`` view, rebuilt on each read, are
+    adapters kept for the benchmark's checks only.
     """
 
     n: int
@@ -201,7 +201,7 @@ class SemilinearEstimator:
         ends = np.cumsum(self.support.sum(axis=1)).tolist()
         return [(cols[s:e], vals[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
-    @cached_property
+    @property
     def weights(self) -> tuple[MappingProxyType, ...]:
         """Read-only index -> weight map per pair, listing every support
         entry, explicit zeros included."""
@@ -280,7 +280,8 @@ class LossMatrix:
     """PSD loss matrix in factored form: M = rows^T rows.
 
     Row i is the residual (a_i - b_i) sqrt(pi_i), so <M, xx^T> is the
-    expected squared estimation error on data x.
+    expected squared estimation error on data x.  The rows go unchecked:
+    each solver checks the Gram it factors.
     """
 
     dim: int
@@ -296,10 +297,6 @@ class LossMatrix:
     def dense(self) -> np.ndarray:
         """Materialized (n, n) matrix."""
         return self.rows.T @ self.rows
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(self.rows * self.rows))
 
     def quad(self, x: np.ndarray) -> float:
         """x^T M x, nonnegative by construction."""

@@ -80,6 +80,7 @@ from .baselines import uniform_init
 from .core import (
     L2,
     LINF,
+    LossMatrix,
     SampleTargetDistribution,
     SemilinearEstimator,
     _estimator_on_mask,
@@ -87,7 +88,7 @@ from .core import (
     loss_factor,
     validate_estimator,
 )
-from .subproblems import PsdAssignment, SdpConvergenceError, sdp_inf_solve, top_eigen
+from .subproblems import PsdAssignment, SdpConvergenceError, gram, sdp_inf_solve, top_eigen
 
 # slack allowed on ball-membership checks
 _FEAS_TOL = 1e-9
@@ -266,7 +267,7 @@ def _project_dense(
     sq = np.multiply(geom.weights[:, None], diff, out=work[1])
     np.multiply(sq, diff, out=sq)
     d2 = float(np.sum(sq))
-    if d2 <= slack or d2 == 0.0:
+    if d2 <= slack:
         return arr, 1.0
     lam = math.sqrt(slack / d2)
     np.multiply(lam, arr, out=arr)
@@ -532,12 +533,12 @@ class _Dual:
     for the t-th.  It starts at S = 0, X = I, where a* is the projected
     target and g(I) = beta / m needs no solve.  Each supergradient is added
     to S as soon as it is found, so that S is the only (n, n) array kept
-    between steps.  ``l2`` is the best g(X) seen.  In the linf regime
-    ``linf`` is the best g(X') over the unit-diagonal rescalings
-    X' = D^{-1/2} X D^{-1/2} of the same points; X = I is its own, so both
-    start at beta / m.  ``value`` is the regime's bound and ``steps`` the
-    ascent steps taken.  The sample batches and S are built on the first
-    step, so that a fit which takes none pays only for g(I).
+    between steps.  ``value`` is the regime's bound: the best g(X) seen in
+    l2, and in linf the best g(X') over the unit-diagonal rescalings
+    X' = D^{-1/2} X D^{-1/2} of the same points.  X = I is its own, so it
+    starts at beta / m in both.  ``steps`` counts the ascent steps taken.
+    The sample batches and S are built on the first step, so that a fit
+    which takes none pays only for g(I).
     """
 
     def __init__(self, dist: SampleTargetDistribution, regime: str):
@@ -545,8 +546,7 @@ class _Dual:
         self.regime = regime
         center, self.beta = _projected_targets(dist)
         rows = self._identity_rows(center)
-        self.floor = float(np.vdot(rows, rows))
-        self.l2 = self.linf = self.floor
+        self.value = float(np.vdot(rows, rows))
         self.S: np.ndarray | None = None
         self.steps = 0
         self._added = 0
@@ -559,17 +559,12 @@ class _Dual:
 
     def _add(self, rows: np.ndarray) -> None:
         """S += the supergradient rows^T rows scaled to norm 2 / sqrt(t)."""
-        # lambda_max from the smaller Gram, as top_eigen takes it
-        gram = rows @ rows.T if rows.shape[0] < rows.shape[1] else rows.T @ rows
-        lam = np.linalg.eigh(gram)[0][-1]
+        M = LossMatrix(self.dist.n, rows)
+        lam = np.linalg.eigh(gram(M))[0][-1]
         self.moving = lam > 0.0
         if self.moving:
             self._added += 1
-            self.S += (2.0 / (lam * math.sqrt(self._added))) * (rows.T @ rows)
-
-    @property
-    def value(self) -> float:
-        return self.linf if self.regime == LINF else self.l2
+            self.S += (2.0 / (lam * math.sqrt(self._added))) * M.dense
 
     def feasible(self, p: float) -> bool:
         """Whether the ball at p meets the sample subspace, by the test
@@ -603,9 +598,7 @@ class _Dual:
             value, rows, unit = _dual_point(self.dist, self.batches, X, rescaled)
             del X
             self.steps += 1
-            self.l2 = max(self.l2, value)
-            if rescaled:
-                self.linf = max(self.linf, unit)
+            self.value = max(self.value, unit if rescaled else value)
             self._add(rows)
 
 

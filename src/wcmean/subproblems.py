@@ -13,6 +13,9 @@ loss matrix M(a):
   step is three numpy calls on row j of M with its diagonal zeroed: a
   matrix-vector product, its norm and a divide into the column.  Row j
   stands for column j because M = rows^T rows is exactly symmetric.
+
+Each solver checks the Gram matrix it factors, which also catches finite
+rows whose products overflow.
 """
 
 from __future__ import annotations
@@ -70,28 +73,38 @@ class PsdAssignment:
         return self.factor.T @ self.factor
 
 
+def gram(M: LossMatrix, smaller: bool = True) -> np.ndarray:
+    """``M.dense`` = rows^T rows, or with ``smaller`` rows rows^T when m < n.
+    Built with numpy's overflow and invalid warnings off, as a non-finite
+    entry, from non-finite rows or an overflow, raises ValueError."""
+    rows = M.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = rows @ rows.T if smaller and rows.shape[0] < M.dim else M.dense
+    if not np.all(np.isfinite(G)):
+        raise ValueError("loss matrix Gram has non-finite entries")
+    return G
+
+
 def top_eigen(M: LossMatrix) -> EigenResult:
     """Exact top eigenpair of M = rows^T rows.
 
-    Takes a dense ``eigh`` of the smaller Gram matrix of the factor: the
-    n x n Gram rows^T rows when n <= m, else the m x m Gram rows rows^T,
-    whose top eigenvector u maps back to v = rows^T u / ||rows^T u||.  The
-    cost is O(m k^2 + k^3) for k = min(m, n).  The returned Rayleigh
-    quotient is ||rows v||^2, computed through the factor, so it is at most
-    lambda_max up to rounding.  One iteration is reported.
+    Takes a dense ``eigh`` of the smaller, checked ``gram``: n x n when
+    n <= m, else m x m, whose top eigenvector u maps back to
+    v = rows^T u / ||rows^T u||.  The cost is O(m k^2 + k^3) for
+    k = min(m, n).  The returned Rayleigh quotient is ||rows v||^2, computed
+    through the factor, so it is at most lambda_max up to rounding.  One
+    iteration is reported, or 0 for an all-zero Gram.
     """
-    if not np.all(np.isfinite(M.rows)):
-        raise ValueError("loss matrix contains non-finite entries")
     n = M.dim
-    if M.trace == 0.0:
+    G = gram(M)
+    if not G.any():
         v = np.zeros(n)
         v[0] = 1.0
         return EigenResult(v, 0.0, 0)
     rows = M.rows
-    if n <= rows.shape[0]:
-        vector = np.linalg.eigh(M.dense)[1][:, -1]
-    else:
-        vector = rows.T @ np.linalg.eigh(rows @ rows.T)[1][:, -1]
+    vector = np.linalg.eigh(G)[1][:, -1]
+    if G.shape[0] != n:
+        vector = rows.T @ vector
         vector /= np.linalg.norm(vector)
     y = rows @ vector
     return EigenResult(vector, float(y @ y), 1)
@@ -126,7 +139,7 @@ def sdp_inf_solve(
     maximizes the objective in that column exactly, so sweeps are monotone.
     The sum is one product V @ off[j] with the contiguous row j of ``off``,
     a copy of M with its diagonal zeroed; row j equals column j because
-    ``M.dense`` = rows^T rows is computed as an exactly symmetric matrix.
+    ``M.dense`` = rows^T rows, the checked ``gram``, is exactly symmetric.
     Converged when a full sweep improves the objective by at most
     eps/20 * max(objective, trace M).  Raises SdpConvergenceError carrying
     the best assignment if ``max_sweeps`` sweeps end first.
@@ -135,11 +148,9 @@ def sdp_inf_solve(
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
-    if not np.all(np.isfinite(M.rows)):
-        raise ValueError("loss matrix contains non-finite entries")
     n = M.dim
-    dense = M.dense
-    trace = M.trace
+    dense = gram(M, smaller=False)
+    trace = float(np.trace(dense))
     rank = math.ceil(math.sqrt(2 * n)) + 1
     V = rng.standard_normal((rank, n))
     norms = np.linalg.norm(V, axis=0)

@@ -451,6 +451,22 @@ def test_evaluate_selective_overlap_matches_experiment_estimator(runner, tmp_pat
     assert values == ["1.179098", "1.179098"]
 
 
+@pytest.mark.parametrize("dataset", ["worst-l2", "worst-linf"])
+def test_evaluate_estimator_whose_loss_gram_overflows_is_usage_error(runner, tmp_path, dataset):
+    # finite weights near 1e200: the loss factor is finite, its Gram is not
+    dist_path, est_path = tmp_path / "dist.json", tmp_path / "est.json"
+    dist_path.write_text('{"n": 2, "pairs": [{"A": [0], "B": [0, 1]}, {"A": [1], "B": [1]}]}')
+    est_path.write_text('{"n": 2, "weights": [[[0, 1e200]], [[1, 1.0]]]}')
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist_path), "--estimator", str(est_path),
+         "--dataset", dataset, "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "non-finite" in result.output
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_evaluate_sdp_sweep_cap_exit_code(runner, tmp_path, capped_sdp):
     dist = gen(runner, tmp_path, "importance")
     result = runner.invoke(

@@ -327,7 +327,7 @@ def test_draws_match_generator_integers_and_choice():
         ref, draws = np.random.default_rng(seed), _Draws(np.random.default_rng(seed))
         for pop in range(1, 13):
             for size in range(pop + 1):
-                assert draws.choice(pop, size) == ref.choice(pop, size, replace=False).tolist()
+                assert draws.sampler(pop, size)() == ref.choice(pop, size, replace=False).tolist()
                 high = highs[(pop + size) % len(highs)]
                 assert draws.bounded(high - 1) == int(ref.integers(high))
 
@@ -340,7 +340,7 @@ def test_draws_match_generator_integers_and_choice():
 def test_draws_match_generator_choice_on_large_populations(pop, size):
     ref, draws = np.random.default_rng(5), _Draws(np.random.default_rng(5))
     for _ in range(2):
-        assert draws.choice(pop, size) == ref.choice(pop, size, replace=False).tolist()
+        assert draws.sampler(pop, size)() == ref.choice(pop, size, replace=False).tolist()
     assert draws.bounded(pop) == int(ref.integers(pop + 1))
 
 
@@ -409,16 +409,16 @@ def test_draws_take_numpys_rejections_inside_choice():
     draws, ref = _Draws(WordStream(words)), ScalarLemire(words)
     reused = draws.sampler(5, 3)  # as gen_snowball keeps one per vertex
     while ref.pos < 2 * _BLOCK:
-        assert draws.choice(3, 2) == ref.choice(3, 2), ref.pos
+        assert draws.sampler(3, 2)() == ref.choice(3, 2), ref.pos
         assert reused() == ref.choice(5, 3), ref.pos
         assert draws.bounded(4) == ref.draw(4), ref.pos
-        assert draws.choice(50, 2) == ref.choice(50, 2), ref.pos
-        assert draws.choice(5, 5) == ref.choice(5, 5), ref.pos
+        assert draws.sampler(50, 2)() == ref.choice(50, 2), ref.pos
+        assert draws.sampler(5, 5)() == ref.choice(5, 5), ref.pos
         assert draws.bounded(49) == ref.draw(49), ref.pos
     spans = {span for span, _ in ref.rejected}
     assert {3, 5, 50} <= spans
     assert (_BLOCK - 1) in {pos for _, pos in ref.rejected}
-    assert draws.choice(0, 0) == []
+    assert draws.sampler(0, 0)() == []
 
 
 # ── selective prediction ─────────────────────────────────────────────

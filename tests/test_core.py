@@ -176,7 +176,7 @@ def test_build_loss_matrix_hand_case():
     np.testing.assert_allclose(
         M.dense, [[0.25, -0.25], [-0.25, 0.25]], atol=TOL
     )
-    assert abs(M.trace - 0.5) < TOL
+    assert abs(float(np.sum(M.rows * M.rows)) - 0.5) < TOL
 
 
 def test_fixed_data_error_hand_case():
@@ -337,6 +337,18 @@ def test_estimator_file_keeps_explicit_zeros_byte_for_byte(tmp_path):
     pairs = [{"A": list(pair.sample), "B": list(pair.target), "p": p} for pair, p in zip(dist.pairs, dist.probs)]
     assert path.read_text() == json.dumps({"n": dist.n, "pairs": pairs}) + "\n"
     assert load_distribution_file(path) == dist
+
+
+def test_weights_view_is_rebuilt_on_each_read():
+    # a cached view would keep m dict views alive on every estimator read once
+    maps = ({0: 0.3, 1: 0.7}, {}, {2: 0.0})
+    rows = [[[0, 0.3], [1, 0.7]], [], [[2, 0.0]]]
+    for est in (SemilinearEstimator(3, maps), estimator_from_dict({"n": 3, "weights": rows})):
+        stored = set(vars(est))
+        first = est.weights
+        assert first == maps and est.weights == maps
+        assert est.weights is not first
+        assert set(vars(est)) == stored
 
 
 def test_estimator_file_reads_integer_values():

@@ -138,7 +138,8 @@ def test_dual_bound_at_identity_is_the_infeasibility_threshold():
     for dist in (random_dist(rng, 6, 9, allow_empty=True), weighted(random_dist(rng, 5, 7), rng)):
         beta = ball_geometry(dist, 1.0).beta
         assert l2_dual_bound(dist, np.eye(dist.n)) == pytest.approx(beta / dist.m, rel=1e-12)
-        assert _Dual(dist, L2).floor == pytest.approx(beta / dist.m, rel=1e-12)
+        for regime in (L2, LINF):
+            assert _Dual(dist, regime).value == pytest.approx(beta / dist.m, rel=1e-12)
 
 
 def test_dual_ascent_stays_below_every_fit():

@@ -48,9 +48,25 @@ def hand_matrix():
 
 
 def test_top_eigen_zero_matrix():
-    M = LossMatrix(3, np.zeros((2, 3)))
-    res = top_eigen(M)
-    assert res.rayleigh == 0.0
+    # the m x m Gram (m < n) and the n x n Gram (n <= m)
+    for m, n in ((2, 3), (3, 2)):
+        res = top_eigen(LossMatrix(n, np.zeros((m, n))))
+        assert res.rayleigh == 0.0 and res.iterations == 0
+        np.testing.assert_array_equal(res.vector, np.eye(n)[0])
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
+@pytest.mark.parametrize("m, n", [(6, 4), (3, 5)], ids=["n<=m", "m<n"])
+def test_solvers_refuse_a_gram_that_is_not_finite(entry, m, n):
+    # 1e200 is finite, but its square overflows the Gram that both solvers
+    # factor; numpy's overflow warning must not escape either
+    rows = np.random.default_rng(m).standard_normal((m, n))
+    rows[1, 2] = entry
+    M = LossMatrix(n, rows)
+    with pytest.raises(ValueError, match="non-finite"):
+        top_eigen(M)
+    with pytest.raises(ValueError, match="non-finite"):
+        sdp_inf_solve(M, EPS, np.random.default_rng(0))
 
 
 def test_top_eigen_matches_dense_oracle():
@@ -206,6 +222,7 @@ def reference_sdp_inf(M, eps, rng, max_sweeps=1000):
     returns (factor, objective, sweeps, converged).
     """
     dense = M.dense
+    trace = float(np.trace(dense))
     n = M.dim
     rank = math.ceil(math.sqrt(2 * n)) + 1
     V = rng.standard_normal((rank, n))
@@ -220,7 +237,7 @@ def reference_sdp_inf(M, eps, rng, max_sweeps=1000):
             if nd > 1e-15:
                 V[:, j] = d / nd
         new_obj = float(np.sum((V @ dense) * V))
-        if new_obj - obj <= (eps / 20.0) * max(new_obj, M.trace):
+        if new_obj - obj <= (eps / 20.0) * max(new_obj, trace):
             return V, new_obj, sweep, True
         obj = new_obj
     return V, obj, max_sweeps, False
@@ -257,7 +274,7 @@ def test_sdp_inf_matches_reference_sweep_at_benchmark_size():
 def test_sdp_inf_matches_reference_sweep_single_point():
     M = LossMatrix(1, np.array([[0.5], [-2.0]]))
     res = assert_matches_reference(M, 3)
-    assert res.objective == pytest.approx(M.trace, rel=1e-12)
+    assert res.objective == pytest.approx(0.5**2 + 2.0**2, rel=1e-12)
 
 
 def test_sdp_inf_keeps_column_of_zero_row():
@@ -276,7 +293,7 @@ def test_sdp_inf_ascent_is_monotone():
         n = int(rng.integers(3, 13))
         _, _, M = random_instance(rng, n, int(rng.integers(2, 9)))
         seed = int(rng.integers(1 << 30))
-        slack = 1e-12 * M.trace
+        slack = 1e-12 * float(np.sum(M.rows * M.rows))
         previous = -math.inf
         capped = 0
         for cap in range(8):
