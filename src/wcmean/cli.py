@@ -190,15 +190,16 @@ def cmd_optimize(dist_path, regime, eps, t_max, seed, p_init, max_doublings, out
     )
 
 
-def _load_group_structure(meta_path: Path | None, dist_path: Path) -> GroupStructure | None:
+def _load_group_structure(meta_path: Path | None, dist_path: Path, needed: bool) -> GroupStructure | None:
     """Group structure from generator metadata; None for a process without one.
 
-    Only an omitted --metadata whose default <dist>.meta.json is absent
-    falls back silently: an explicit path must be readable.
+    An explicit --metadata is always read, and must be readable.  When it is
+    omitted, the default <dist>.meta.json is read only if ``needed``, and
+    an absent one falls back silently to None.
     """
     if meta_path is None:
         meta_path = _meta_path(dist_path)
-        if not meta_path.exists():
+        if not needed or not meta_path.exists():
             return None
     meta = _load_json(meta_path)
     if not isinstance(meta, dict):
@@ -233,8 +234,22 @@ def _numeric_array(path: Path, key: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _dataset_vector(spec: str, n: int) -> np.ndarray | None:
+def _named_estimators(dist, dist_path, metadata, estimator_paths, baseline_names, datasets=()):
+    """(name, estimator) per --estimator file, by its stem, then per --baseline, and the
+    group structure; the default metadata is read only for a group baseline or intergroup."""
+    needed = "intergroup" in datasets or not {"reweighting", "subgroup"}.isdisjoint(baseline_names)
+    gs = _load_group_structure(metadata, dist_path, needed)
+    named = [(path.stem, load_estimator_file(path, dist)) for path in estimator_paths]
+    named += [(name, baseline_estimator(name, dist, gs)) for name in baseline_names]
+    return named, gs
+
+
+def _dataset_vector(spec: str, n: int, gs: GroupStructure | None) -> np.ndarray | None:
     """Fixed-data vector for a dataset spec, or None for worst-case specs."""
+    if spec == "intergroup" and gs is not None:  # +1 on the first group, as the table reads it
+        if gs.n != n:
+            raise ValueError("group structure population size does not match")
+        return np.where(np.isin(np.arange(n), gs.groups[0]), 1.0, -1.0)
     if spec in ("constant", "intergroup", "intragroup"):
         return synthetic_values(spec, n)
     if spec.startswith("spatial:"):
@@ -279,13 +294,8 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     dist = load_distribution_file(dist_path)
-    gs = _load_group_structure(metadata, dist_path)
-    named = []
-    for path in estimator_paths:
-        named.append((path.stem, load_estimator_file(path, dist)))
-    for name in baseline_names:
-        named.append((name, baseline_estimator(name, dist, gs)))
-    vectors = {spec: _dataset_vector(spec, dist.n) for spec in dataset_specs}
+    named, gs = _named_estimators(dist, dist_path, metadata, estimator_paths, baseline_names, dataset_specs)
+    vectors = {spec: _dataset_vector(spec, dist.n, gs) for spec in dataset_specs}
 
     def cell(e_idx: int, spec: str) -> float:
         est = named[e_idx][1]
@@ -370,16 +380,11 @@ def cmd_lowerbound(dist_path, subset, estimator_path, baseline_name, metadata, o
         "side1_count": cert.side1_count,
         "side2_count": cert.side2_count,
     }
-    est = None
-    est_name = None
-    if estimator_path is not None:
-        est = load_estimator_file(estimator_path, dist)
-        est_name = estimator_path.stem
-    elif baseline_name is not None:
-        gs = _load_group_structure(metadata, dist_path)
-        est = baseline_estimator(baseline_name, dist, gs)
-        est_name = baseline_name
-    if est is not None:
+    named, _ = _named_estimators(
+        dist, dist_path, metadata, [estimator_path] if estimator_path else [],
+        [baseline_name] if baseline_name else [],
+    )
+    for est_name, est in named:
         adversary, achieved = adversarial_values(
             dist, cert.subset, semilinear_callable(est, dist)
         )

@@ -9,12 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import GroupStructure
-from .core import IndexPair, SampleTargetDistribution
-
-
-def _is_int(value) -> bool:
-    """An int or a numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+from .core import IndexPair, SampleTargetDistribution, _is_int
 
 
 def _check_ints(**counts) -> None:

@@ -34,6 +34,11 @@ _REGIME_TOL = 1e-12
 _PROB_SUM_TOL = 1e-9
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class SchemaError(ValueError):
     """Invalid on-disk distribution/estimator data; ``code`` names the violation."""
 
@@ -299,9 +304,14 @@ class LossMatrix:
         return self.rows.T @ self.rows
 
     def quad(self, x: np.ndarray) -> float:
-        """x^T M x, nonnegative by construction."""
-        y = self.rows @ np.asarray(x, dtype=float)
-        return float(y @ y)
+        """x^T M x, nonnegative by construction.  A non-finite result, from
+        non-finite rows or an overflow, raises ValueError, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.rows @ np.asarray(x, dtype=float)
+            value = float(y @ y)
+        if not math.isfinite(value):
+            raise ValueError("loss matrix quadratic form is non-finite")
+        return value
 
 
 def _check_shape(n: int, m: int, dist: SampleTargetDistribution) -> None:

@@ -84,6 +84,8 @@ from .core import (
     SampleTargetDistribution,
     SemilinearEstimator,
     _estimator_on_mask,
+    _is_int,
+    build_loss_matrix,
     estimator_from_dense,
     loss_factor,
     validate_estimator,
@@ -136,18 +138,16 @@ class OgdConfig:
     def __post_init__(self):
         # a float or bool count would fail later, inside numpy or range; a
         # bool eps or p_init would run as 0 or 1, and a string fail in a
-        # comparison
-        types = {
-            "t_max": (int, "an int"),
-            "seed": (int, "an int"),
-            "p_doublings_max": ((int, type(None)), "an int"),
-            "eps": ((int, float), "a float"),
-            "p_init": ((int, float, type(None)), "a float"),
-        }
-        for name, (accepted, label) in types.items():
+        # comparison.  numpy scalars are stored as the Python int or float.
+        kinds = {"t_max": int, "seed": int, "p_doublings_max": int, "eps": float, "p_init": float}
+        for name, kind in kinds.items():
             value = getattr(self, name)
-            if not isinstance(value, accepted) or isinstance(value, bool):
+            if value is None and name in ("p_doublings_max", "p_init"):
+                continue
+            if not (_is_int(value) or kind is float and isinstance(value, (float, np.floating))):
+                label = "an int" if kind is int else "a float"
                 raise ValueError(f"{name} must be {label}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
         if self.regime not in (LINF, L2):
             raise ValueError(f"regime must be {LINF!r} or {L2!r}, got {self.regime!r}")
         if not 0 < self.eps < math.inf:
@@ -198,17 +198,17 @@ class AttemptRecord:
     iterations: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class OgdTrace:
-    """Per-iteration record of one run plus summary diagnostics.
+    """Per-iteration record of one run plus summary diagnostics, immutable.
 
-    ``run_with_doubling`` fills ``attempts``, one record per doubling
-    attempt; ``dual_steps``, the dual ascent steps taken over all attempts;
-    and ``dual_bound``, the best bound of the regime reached (g(I) = beta / m
-    when no step was taken): for every semilinear a, a lower bound on
-    n lambda_max(M(a)) in l2 and on SDP_inf(M(a)) in linf.  The linf bound
-    is not one on the SDP solver's reported values, which can fall short of
-    the SDP value.
+    ``run_with_doubling`` returns a copy that adds its note and sets
+    ``attempts``, one record per doubling attempt; ``dual_steps``, the dual
+    ascent steps taken over all attempts; and ``dual_bound``, the best bound
+    of the regime reached (g(I) = beta / m when no step was taken): for every
+    semilinear a, a lower bound on n lambda_max(M(a)) in l2 and on
+    SDP_inf(M(a)) in linf.  The linf bound is not one on the SDP solver's
+    reported values, which can fall short of the SDP value.
     """
 
     regime: str
@@ -338,11 +338,9 @@ def _step_in_place(
 
 def loss_value(est: SemilinearEstimator, X, dist: SampleTargetDistribution) -> float:
     """f(a) = <M(a), X> = sum_i pi_i (a_i - b_i)^T X (a_i - b_i) for a fixed
-    subproblem solution X."""
-    validate_estimator(est, dist)
-    resid = est.dense() - dist.target_rows
-    Y = _apply_X(resid, X)
-    return float(np.sum(dist.pair_weights[:, None] * resid * Y)) / dist.m
+    subproblem solution X, from the factor rows of ``build_loss_matrix``."""
+    M = build_loss_matrix(est, dist)
+    return float(np.vdot(_apply_X(M.rows, X), M.rows))
 
 
 def loss_gradient(est: SemilinearEstimator, X, dist: SampleTargetDistribution) -> np.ndarray:
@@ -530,15 +528,15 @@ class _Dual:
 
     The point is X = (1 - mix) n exp(S) / tr exp(S) + mix I, where S sums
     the supergradients M(a*(X)) met, each scaled to spectral norm 2 / sqrt(t)
-    for the t-th.  It starts at S = 0, X = I, where a* is the projected
-    target and g(I) = beta / m needs no solve.  Each supergradient is added
-    to S as soon as it is found, so that S is the only (n, n) array kept
-    between steps.  ``value`` is the regime's bound: the best g(X) seen in
-    l2, and in linf the best g(X') over the unit-diagonal rescalings
-    X' = D^{-1/2} X D^{-1/2} of the same points.  X = I is its own, so it
-    starts at beta / m in both.  ``steps`` counts the ascent steps taken.
-    The sample batches and S are built on the first step, so that a fit
-    which takes none pays only for g(I).
+    for the t-th, t = steps + 1 as it is added.  It starts at S = 0, X = I,
+    where a* is the projected target and g(I) = beta / m needs no solve.
+    Each supergradient is added to S as soon as it is found, so that S is
+    the only (n, n) array kept between steps.  ``value`` is the regime's
+    bound: the best g(X) seen in l2, and in linf the best g(X') over the
+    unit-diagonal rescalings X' = D^{-1/2} X D^{-1/2} of the same points.
+    X = I is its own, so it starts at beta / m in both.  ``steps`` counts
+    the ascent steps taken.  The sample batches and S are built on the first
+    step, so that a fit which takes none pays only for g(I).
     """
 
     def __init__(self, dist: SampleTargetDistribution, regime: str):
@@ -549,7 +547,6 @@ class _Dual:
         self.value = float(np.vdot(rows, rows))
         self.S: np.ndarray | None = None
         self.steps = 0
-        self._added = 0
 
     def _identity_rows(self, center: np.ndarray) -> np.ndarray:
         """Factor rows of the supergradient at X = I, where a* is the
@@ -563,8 +560,7 @@ class _Dual:
         lam = np.linalg.eigh(gram(M))[0][-1]
         self.moving = lam > 0.0
         if self.moving:
-            self._added += 1
-            self.S += (2.0 / (lam * math.sqrt(self._added))) * M.dense
+            self.S += (2.0 / (lam * math.sqrt(self.steps + 1))) * M.dense
 
     def feasible(self, p: float) -> bool:
         """Whether the ball at p meets the sample subspace, by the test
@@ -616,9 +612,11 @@ def run_with_doubling(
     run stops and the radius is skipped, else the run continues.  Once a run
     is rejected whose ball never bound, every larger radius reuses it, with
     no run and no ascent: it is accepted at the first p at least its best
-    value.  If the doubling cap is exhausted the best run seen is returned
-    with a diagnostic note; ruled-out radii never completed a run, so it is
-    the best of the runs made, which may differ from the best of all radii.
+    value.  If the doubling cap is exhausted, the best run seen leaves by
+    the same exit as an accepted run, with the note
+    ``doubling-cap-exhausted`` in place of ``accepted``; ruled-out radii
+    never completed a run, so it is the best of the runs made, which may
+    differ from the best of all radii.
     If every radius was infeasible, the last infeasibility error is raised.
     With ``p_doublings_max=0`` this is one run at ``p_init``.
     """
@@ -666,33 +664,22 @@ def run_with_doubling(
             )
         )
         if accepted:
-            trace.notes = trace.notes + ("accepted",)
-            return _fit(dist, (a_dense, trace, p), records, dual)
+            chosen, note = (a_dense, trace, p), "accepted"
+            break
         if not ruled_out:
             if best is None or trace.best_value < best[1].best_value:
                 best = (a_dense, trace, p)
             if not reused and np.all(trace.lam == 1.0):
                 unbound = (a_dense, trace)
         p *= 2.0
-    if best is None:
-        assert last_infeasible is not None
-        raise last_infeasible
-    best[1].notes = best[1].notes + ("doubling-cap-exhausted",)
-    return _fit(dist, best, records, dual)
-
-
-def _fit(
-    dist: SampleTargetDistribution,
-    run: tuple[np.ndarray, OgdTrace, float],
-    records: list[AttemptRecord],
-    dual: _Dual,
-) -> tuple[SemilinearEstimator, OgdTrace, float]:
-    """The doubling's result from its chosen run, with the attempt records,
-    the final dual bound and the ascent steps attached to the run's trace."""
-    a_dense, trace, p = run
-    trace.attempts = tuple(records)
-    trace.dual_bound = dual.value
-    trace.dual_steps = dual.steps
+    else:
+        if best is None:
+            assert last_infeasible is not None
+            raise last_infeasible
+        chosen, note = best, "doubling-cap-exhausted"
+    a_dense, trace, p = chosen
+    trace = replace(trace, notes=trace.notes + (note,), attempts=tuple(records),
+                    dual_bound=dual.value, dual_steps=dual.steps)
     return estimator_from_dense(dist, a_dense), trace, p
 
 

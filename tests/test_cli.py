@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wcmean.baselines import sample_mean_estimator, selective_prediction_estimator
+from wcmean.baselines import (
+    sample_mean_estimator,
+    selective_prediction_estimator,
+    subgroup_estimator,
+)
 from wcmean.cli import main
-from wcmean.collectors import gen_selective
+from wcmean.collectors import gen_importance, gen_selective
 from wcmean.core import (
     SemilinearEstimator,
     fixed_data_error,
     load_distribution_file,
     save_estimator_file,
 )
+from wcmean.experiments import synthetic_values
 from wcmean.optimizer import OgdConfig, run_with_doubling
 
 SMALL_EXP = ["--m", "60", "--t-max", "8", "--eps", "0.05"]
@@ -451,9 +456,10 @@ def test_evaluate_selective_overlap_matches_experiment_estimator(runner, tmp_pat
     assert values == ["1.179098", "1.179098"]
 
 
-@pytest.mark.parametrize("dataset", ["worst-l2", "worst-linf"])
+@pytest.mark.parametrize("dataset", ["worst-l2", "worst-linf", "constant"])
 def test_evaluate_estimator_whose_loss_gram_overflows_is_usage_error(runner, tmp_path, dataset):
-    # finite weights near 1e200: the loss factor is finite, its Gram is not
+    # finite weights near 1e200: the loss factor is finite, its Gram and its
+    # quadratic forms are not
     dist_path, est_path = tmp_path / "dist.json", tmp_path / "est.json"
     dist_path.write_text('{"n": 2, "pairs": [{"A": [0], "B": [0, 1]}, {"A": [1], "B": [1]}]}')
     est_path.write_text('{"n": 2, "weights": [[[0, 1e200]], [[1, 1.0]]]}')
@@ -465,6 +471,73 @@ def test_evaluate_estimator_whose_loss_gram_overflows_is_usage_error(runner, tmp
     assert result.exit_code == 2, result.output
     assert "non-finite" in result.output
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_evaluate_intergroup_follows_the_metadata_split(runner, tmp_path):
+    # +1 on the metadata's first group, 10 indices, as the importance table
+    # reads it, not on the first half
+    dist = gen(runner, tmp_path, "importance", "--n", "40", "--split", "10")
+    library, gs = gen_importance(n=40, split=10, m=40, seed=0)
+    est = subgroup_estimator(library, gs)
+    expected, first_half = (
+        f"{fixed_data_error(est, library, synthetic_values('intergroup', 40, split)):.6f}"
+        for split in (10, None)
+    )
+    assert expected != first_half
+    out = tmp_path / "r.csv"
+    args = ["evaluate", "--dist", str(dist), "--baseline", "subgroup",
+            "--dataset", "intergroup", "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert out.read_text().splitlines()[1] == f"subgroup,intergroup,{expected}"
+    # groups of another population are refused
+    other_n = tmp_path / "other.meta.json"
+    other_n.write_text(json.dumps({"groups": [[0], [1]], "inclusion_prob": [0.5, 0.5]}))
+    result = runner.invoke(main, [*args, "--metadata", str(other_n)])
+    assert result.exit_code == 2, result.output
+    assert "population size does not match" in result.output
+
+
+def test_evaluate_intergroup_without_groups_takes_the_first_half(runner, tmp_path):
+    dist = gen(runner, tmp_path, "selective", "--n", "18", "--windows", "1,2,4,8")
+    out = tmp_path / "r.csv"
+    result = runner.invoke(
+        main,
+        ["evaluate", "--dist", str(dist), "--baseline", "sample_mean",
+         "--dataset", "intergroup", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    library = gen_selective(n=18, windows=[1, 2, 4, 8])
+    x = synthetic_values("intergroup", 18)
+    value = fixed_data_error(sample_mean_estimator(library), library, x)
+    assert out.read_text().splitlines()[1] == f"sample_mean,intergroup,{value:.6f}"
+
+
+@pytest.mark.parametrize(
+    "command, args, code",
+    [
+        ("evaluate", ["--estimator", "{est}", "--dataset", "constant"], 0),
+        ("evaluate", ["--baseline", "sample_mean", "--dataset", "worst-l2"], 0),
+        ("evaluate", ["--estimator", "{est}", "--dataset", "intergroup"], 3),
+        ("evaluate", ["--baseline", "reweighting", "--dataset", "constant"], 3),
+        ("lowerbound", ["--estimator", "{est}"], 0),
+        ("lowerbound", ["--baseline", "sample_mean"], 0),
+        ("lowerbound", ["--baseline", "subgroup"], 3),
+    ],
+)
+def test_default_metadata_is_read_only_when_needed(runner, tmp_path, command, args, code):
+    # a malformed <dist>.meta.json stops only a command that needs the groups
+    dist = half_split_file(tmp_path)
+    dist.with_suffix(".meta.json").write_text("{broken")
+    est = tmp_path / "est.json"
+    save_estimator_file(sample_mean_estimator(load_distribution_file(dist)), est)
+    args = [arg.format(est=est) for arg in args]
+    result = runner.invoke(
+        main, [command, "--dist", str(dist), *args, "--out", str(tmp_path / "r.out")]
+    )
+    assert result.exit_code == code, result.output
+    if code:
+        assert "[malformed_json]" in result.output
 
 
 def test_evaluate_sdp_sweep_cap_exit_code(runner, tmp_path, capped_sdp):

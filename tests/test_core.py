@@ -208,6 +208,20 @@ def test_fixed_data_error_checks_a_raw_array(x, message):
             fixed_data_error(est, dist, DataValues(x))
 
 
+@pytest.mark.parametrize(
+    "weight, x",
+    [(1e200, np.ones(2)), (1.0, np.array([1e200, -1e200]))],
+    ids=["weights", "data"],
+)
+def test_fixed_data_error_refuses_an_overflowing_quadratic_form(weight, x):
+    # finite weights and data whose loss x^T M x overflows: a ValueError,
+    # with numpy's overflow warning kept in
+    dist = make_dist(2, [([0], [0, 1]), ([1], [1])])
+    est = estimator_from_dense(dist, np.array([[weight, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        fixed_data_error(est, dist, x)
+
+
 @pytest.mark.parametrize("regime", [None, LINF, L2])
 def test_data_values_leave_the_callers_array_writable(regime):
     a = np.ones(4)

@@ -76,6 +76,8 @@ def test_config_rejects_bad_eps_and_p_init(kwargs):
         ("seed", False),
         ("p_doublings_max", 1.5),
         ("p_doublings_max", True),
+        ("t_max", np.float64(5.0)),
+        ("seed", np.bool_(False)),
     ],
 )
 def test_config_rejects_non_integer_counts(field, value):
@@ -101,8 +103,18 @@ def test_config_rejects_non_real_eps_and_p_init(field, value):
 
 
 def test_config_accepts_int_and_numpy_reals():
-    cfg = OgdConfig(regime=L2, eps=1, p_init=np.float64(0.05))
-    assert (cfg.eps, cfg.p_init) == (1, 0.05)
+    # each is stored as the Python int or float
+    for field, value, stored in [
+        ("eps", 1, 1.0),
+        ("p_init", np.float64(0.05), 0.05),
+        ("eps", np.float32(0.25), 0.25),
+        ("p_init", np.int64(1), 1.0),
+        ("t_max", np.int64(5), 5),
+        ("seed", np.uint8(3), 3),
+        ("p_doublings_max", np.int32(2), 2),
+    ]:
+        got = getattr(OgdConfig(regime=L2, **{field: value}), field)
+        assert got == stored and type(got) is type(stored), (field, value)
 
 
 def test_ball_geometry_beta():
