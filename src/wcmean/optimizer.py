@@ -202,6 +202,10 @@ class AttemptRecord:
 class OgdTrace:
     """Per-iteration record of one run plus summary diagnostics, immutable.
 
+    ``inner_steps`` counts each iteration's subproblem work: the SDP
+    solver's iterations (``PsdAssignment.sweeps``, the cap when it was hit)
+    in linf, and 1, the one dense eigensolve, in l2.
+
     ``run_with_doubling`` returns a copy that adds its note and sets
     ``attempts``, one record per doubling attempt; ``dual_steps``, the dual
     ascent steps taken over all attempts; and ``dual_bound``, the best bound
@@ -219,6 +223,7 @@ class OgdTrace:
     f_t: np.ndarray
     lam: np.ndarray
     elapsed_ms: np.ndarray
+    inner_steps: np.ndarray
     best_t: int
     best_value: float
     notes: tuple[str, ...] = ()
@@ -403,6 +408,7 @@ def _run_single(
     f_arr = np.empty(cfg.t_max)
     lam_arr = np.empty(cfg.t_max)
     ms_arr = np.empty(cfg.t_max)
+    inner_arr = np.ones(cfg.t_max, dtype=int)
     for t in range(1, cfg.t_max + 1):
         tic = time.perf_counter()
         M = loss_factor(dist, resid)
@@ -414,6 +420,7 @@ def _run_single(
                 if "sdp-sweep-cap-hit" not in notes:
                     notes.append("sdp-sweep-cap-hit")
             f_t = assignment.objective
+            inner_arr[t - 1] = assignment.sweeps
             X = assignment
         else:
             eig = top_eigen(M)
@@ -447,6 +454,7 @@ def _run_single(
         f_t=f_arr[:t],
         lam=lam_arr[:t],
         elapsed_ms=ms_arr[:t],
+        inner_steps=inner_arr[:t],
         best_t=best_t,
         best_value=best_value,
         notes=tuple(notes),
@@ -684,10 +692,11 @@ def run_with_doubling(
 
 
 def write_trace_csv(trace: OgdTrace, path: str | Path) -> None:
-    """Trace CSV: columns t, eta, f_t, lambda, elapsed_ms (6-decimal fixed point)."""
+    """Trace CSV: columns t, eta, f_t, lambda, elapsed_ms (6-decimal fixed
+    point) and inner_steps (an int)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "eta", "f_t", "lambda", "elapsed_ms"])
+        writer.writerow(["t", "eta", "f_t", "lambda", "elapsed_ms", "inner_steps"])
         for i in range(trace.t.size):
             writer.writerow(
                 [
@@ -696,6 +705,7 @@ def write_trace_csv(trace: OgdTrace, path: str | Path) -> None:
                     f"{trace.f_t[i]:.6f}",
                     f"{trace.lam[i]:.6f}",
                     f"{trace.elapsed_ms[i]:.6f}",
+                    int(trace.inner_steps[i]),
                 ]
             )
 
@@ -712,6 +722,8 @@ def trace_summary(trace: OgdTrace, p_final: float | None = None) -> dict:
         "notes": list(trace.notes),
         "attempts": [asdict(rec) for rec in trace.attempts],
         "dual_steps": trace.dual_steps,
+        "inner_steps_mean": float(trace.inner_steps.mean()),
+        "inner_steps_max": int(trace.inner_steps.max()),
     }
     if trace.dual_bound is not None:
         out["dual_bound"] = trace.dual_bound

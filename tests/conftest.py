@@ -56,6 +56,16 @@ def dense_lambda_max(M_dense):
     return float(np.linalg.eigvalsh(M_dense)[-1])
 
 
+def sdp_bracket(M):
+    """[L, U] on max <M, X> over PSD X with unit diagonal: L = <M, X> for X
+    from a tight ``sdp_inf_solve``, and U = <M, X> + n lambda_max(M -
+    Diag(diag(M X)))^+, the dual bound, which holds for any X."""
+    X = sdp_inf_solve(M, 1e-10, np.random.default_rng(0), max_sweeps=10_000).dense()
+    MX = M.dense @ X
+    lower = float(np.trace(MX))
+    return lower, lower + M.dim * max(dense_lambda_max(M.dense - np.diag(np.diag(MX))), 0.0)
+
+
 def hypercube_max(M_dense):
     """Exhaustive max of x^T M x over x in {-1, +1}^n (n <= 16)."""
     n = M_dense.shape[0]

@@ -334,6 +334,7 @@ def test_run_single_matches_public_step(regime, weighted):
         states.append(rng.bit_generator.state)
         f_t, X = subproblem(regime, build_loss_matrix(est, dist), cfg.eps, rng)
         assert trace.f_t[t - 1] == f_t, t
+        assert trace.inner_steps[t - 1] == (X.sweeps if regime == LINF else 1), t
         est = ogd_step(est, X, t, geom, dist)
 
     # the returned iterate is the one at best_t, held apart from the loop's buffers
@@ -385,19 +386,34 @@ def test_doubling_accepts_when_value_below_p():
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(30)
     dist = random_dist(rng, 5, 8, full_targets=True)
-    _, trace, _ = run_with_doubling(dist, OgdConfig(regime=L2, t_max=10, p_doublings_max=0))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert "f_t" in header and "elapsed_ms" in header
-    assert len(lines) == 1 + 10
+    for regime in (L2, LINF):
+        _, trace, _ = run_with_doubling(dist, OgdConfig(regime=regime, t_max=10, p_doublings_max=0))
+        path = tmp_path / f"trace_{regime}.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        assert "f_t" in header and "elapsed_ms" in header
+        assert len(lines) == 1 + 10
+        column = [int(line.split(",")[header.index("inner_steps")]) for line in lines[1:]]
+        assert column == trace.inner_steps.tolist()
+        if regime == L2:
+            assert column == [1] * 10
+        else:
+            # SDP iterations from a random start: at least one each
+            assert min(column) >= 1 and max(column) > 1
 
 
 def test_trace_summary_fields():
     rng = np.random.default_rng(31)
     dist = random_dist(rng, 5, 8, full_targets=True)
-    _, trace, _ = run_with_doubling(dist, OgdConfig(regime=L2, t_max=10, p_doublings_max=0))
-    summary = trace_summary(trace, 0.25)
-    for key in ("regime", "best_value", "best_t", "p_final"):
-        assert key in summary
+    for regime in (L2, LINF):
+        _, trace, _ = run_with_doubling(dist, OgdConfig(regime=regime, t_max=10, p_doublings_max=0))
+        summary = trace_summary(trace, 0.25)
+        for key in ("regime", "best_value", "best_t", "p_final"):
+            assert key in summary
+        assert summary["inner_steps_mean"] == pytest.approx(float(np.mean(trace.inner_steps)))
+        assert summary["inner_steps_max"] == int(np.max(trace.inner_steps))
+        if regime == L2:
+            assert summary["inner_steps_mean"] == 1.0 and summary["inner_steps_max"] == 1
+        else:
+            assert summary["inner_steps_max"] > 1

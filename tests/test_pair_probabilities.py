@@ -10,7 +10,7 @@ keep the values they had before probabilities existed.
 import numpy as np
 import pytest
 
-from conftest import dense_lambda_max, make_dist
+from conftest import dense_lambda_max, make_dist, sdp_bracket
 from wcmean.baselines import sample_mean_estimator
 from wcmean.collectors import gen_importance, gen_snowball
 from wcmean.core import (
@@ -144,22 +144,22 @@ def test_weighted_median_guards_the_heavy_pair():
 UNIFORM_CELLS = {
     "importance": {
         "constant": {"reweighting": 0.12589333333333336, "subgroup": 0.008333333333333335,
-                     "ogd_linf": 0.07522228189469013, "ogd_l2": 0.0649976408511329},
+                     "ogd_linf": 0.07192307729193692, "ogd_l2": 0.0649976408511329},
         "intergroup": {"reweighting": 0.13309333333333337, "subgroup": 0.008333333333333331,
-                       "ogd_linf": 0.053421438681468106, "ogd_l2": 0.05506458800943671},
+                       "ogd_linf": 0.055225376982110254, "ogd_l2": 0.05506458800943671},
         "intragroup": {"reweighting": 0.0984266666666667, "subgroup": 0.11512721225482828,
-                       "ogd_linf": 0.038269030306878976, "ogd_l2": 0.04242096650572608},
-        "worst_linf": {"reweighting": 0.2895705014821349, "subgroup": 0.23769223128377237,
-                       "ogd_linf": 0.09064081763789236, "ogd_l2": 0.10060122572844721},
+                       "ogd_linf": 0.037242177432869485, "ogd_l2": 0.04242096650572608},
+        "worst_linf": {"reweighting": 0.289893500156751, "subgroup": 0.23814158077335024,
+                       "ogd_linf": 0.09223271114186708, "ogd_l2": 0.10071945219820984},
         "worst_l2": {"reweighting": 0.5148809935800479, "subgroup": 0.48208622347503655,
-                     "ogd_linf": 0.1346271722225368, "ogd_l2": 0.12515661616552642},
+                     "ogd_linf": 0.1345190546437056, "ogd_l2": 0.12515661616552642},
     },
     "snowball": {
-        "spatial": {"sample_mean": 0.021332325302898993, "ogd_linf": 0.06771383204049208,
+        "spatial": {"sample_mean": 0.021332325302898993, "ogd_linf": 0.07990241098004776,
                     "ogd_l2": 0.0798253997714197},
-        "worst_linf": {"sample_mean": 0.1862187064899324, "ogd_linf": 0.07409474924455328,
-                       "ogd_l2": 0.08477940579999943},
-        "worst_l2": {"sample_mean": 0.2089505428804074, "ogd_linf": 0.1038481475170917,
+        "worst_linf": {"sample_mean": 0.1865271869582748, "ogd_linf": 0.07510499773764337,
+                       "ogd_l2": 0.08482814113939538},
+        "worst_l2": {"sample_mean": 0.2089505428804074, "ogd_linf": 0.10596393789559541,
                      "ogd_l2": 0.10525962917004048},
     },
 }
@@ -174,5 +174,11 @@ def test_uniform_cells_unchanged(name):
     generate = {"importance": gen_importance, "snowball": gen_snowball}[name]
     dist = generate(m=60, seed=0)[0]
     for col, est in result.estimators.items():
-        exact = dist.n * dense_lambda_max(build_loss_matrix(est, dist).dense)
+        M = build_loss_matrix(est, dist)
+        exact = dist.n * dense_lambda_max(M.dense)
         assert result.cells["worst_l2"][col] == pytest.approx(exact, rel=1e-9), col
+        # the SDP value lies in [cell, U], and the cell keeps OgdConfig's
+        # promise U <= cell (1 + eps/10) at the table's eps = 0.05
+        upper = sdp_bracket(M)[1]
+        assert result.cells["worst_linf"][col] <= upper * (1 + 1e-9), col
+        assert upper <= result.cells["worst_linf"][col] * (1 + 0.05 / 10), col

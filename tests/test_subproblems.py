@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_lambda_max, hypercube_max, make_dist, random_dist
+from conftest import dense_lambda_max, hypercube_max, make_dist, random_dist, sdp_bracket
+from wcmean import optimizer
+from wcmean.collectors import gen_importance, gen_selective, gen_snowball
 from wcmean.core import (
     LossMatrix,
     SemilinearEstimator,
@@ -18,6 +20,7 @@ from wcmean.core import (
     estimator_from_dense,
 )
 from wcmean.subproblems import (
+    _GAP_DIVISOR,
     SdpConvergenceError,
     round_sign,
     sdp2_value,
@@ -215,12 +218,30 @@ def test_sdp_inf_rejects_negative_sweep_cap():
         sdp_inf_solve(M, EPS, np.random.default_rng(0), max_sweeps=-3)
 
 
-def reference_sdp_inf(M, eps, rng, max_sweeps=1000):
-    """The column loop in its textbook form: d = V M_{:,j} - M_jj V_j.
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"eps": True}, {"max_sweeps": True}, {"max_sweeps": 2.5}],
+    ids=["bool-eps", "bool-cap", "float-cap"],
+)
+def test_sdp_inf_rejects_non_numeric_arguments(kwargs):
+    # a bool eps ran as 1 and a bool cap as 1; a float cap died in range()
+    M = LossMatrix(2, np.eye(2))
+    args = {"eps": EPS, **kwargs}
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        sdp_inf_solve(M, rng=np.random.default_rng(0), **args)
 
-    Same random start, stopping rule and sweep cap as ``sdp_inf_solve``;
-    returns (factor, objective, sweeps, converged).
-    """
+
+def test_sdp_inf_accepts_numpy_scalars():
+    M = LossMatrix(2, np.eye(2))
+    res = sdp_inf_solve(M, np.float64(EPS), np.random.default_rng(0), max_sweeps=np.int64(50))
+    assert res.objective == pytest.approx(2.0, rel=1e-12)
+
+
+def reference_sdp_inf(M, eps, rng, max_sweeps=1000):
+    """The former solver, coordinate ascent over the columns in its textbook
+    form: d = V M_{:,j} - M_jj V_j.  It stopped once a sweep gained at most
+    eps/20 * max(objective, trace M); returns (factor, objective, sweeps,
+    converged)."""
     dense = M.dense
     trace = float(np.trace(dense))
     n = M.dim
@@ -243,8 +264,49 @@ def reference_sdp_inf(M, eps, rng, max_sweeps=1000):
     return V, obj, max_sweeps, False
 
 
+def reference_riemannian_sdp_inf(M, eps, rng, max_sweeps=1000):
+    """The Riemannian ascent with Barzilai-Borwein steps, one column at a time.
+
+    Same random start, step, stop and cap as ``sdp_inf_solve``; returns
+    (best factor, best objective, iterations, converged)."""
+    dense = M.dense
+    trace = float(np.trace(dense))
+    n = M.dim
+    rank = math.ceil(math.sqrt(2 * n)) + 1
+    V = rng.standard_normal((rank, n))
+    norms = np.linalg.norm(V, axis=0)
+    norms[norms == 0.0] = 1.0
+    V /= norms
+    alpha = 1.0 / max(dense[j, j] for j in range(n)) if np.any(dense) else 1.0
+    best_V, best_obj = V, -math.inf
+    previous = None
+    for it in range(max_sweeps + 1):
+        W = V @ dense
+        obj = float(np.trace(V.T @ W))  # <M, V^T V>
+        if obj > best_obj:
+            best_V, best_obj = V, obj
+        gap = sum(np.linalg.norm(W[:, j]) - V[:, j] @ W[:, j] for j in range(n))
+        if gap <= eps / _GAP_DIVISOR * max(obj, trace):
+            return best_V, best_obj, it, True
+        if it == max_sweeps:
+            break
+        # Riemannian gradient: each w_j less its component along v_j
+        R = np.column_stack([W[:, j] - (V[:, j] @ W[:, j]) * V[:, j] for j in range(n)])
+        if previous is not None:
+            s, y = V - previous[0], R - previous[1]
+            if abs(np.sum(s * y)) > 0.0:
+                alpha = np.sum(s * s) / abs(np.sum(s * y))
+        previous = V, R
+        step = V + alpha * R
+        V = np.column_stack([
+            step[:, j] / np.linalg.norm(step[:, j]) if np.any(dense[j]) else V[:, j]
+            for j in range(n)
+        ])
+    return best_V, best_obj, max_sweeps, False
+
+
 def assert_matches_reference(M, seed):
-    ref_V, ref_obj, ref_sweeps, converged = reference_sdp_inf(
+    ref_V, ref_obj, ref_sweeps, converged = reference_riemannian_sdp_inf(
         M, EPS, np.random.default_rng(seed)
     )
     assert converged
@@ -280,11 +342,51 @@ def test_sdp_inf_matches_reference_sweep_single_point():
 def test_sdp_inf_keeps_column_of_zero_row():
     rng = np.random.default_rng(20)
     rows = rng.standard_normal((6, 7))
-    rows[:, 4] = 0.0  # row and column 4 of M vanish
+    dead = [1, 4, 5]
+    rows[:, dead] = 0.0  # these rows and columns of M vanish
     M = LossMatrix(7, rows)
     res = assert_matches_reference(M, 11)
-    start, *_ = reference_sdp_inf(M, EPS, np.random.default_rng(11), max_sweeps=0)
-    np.testing.assert_array_equal(res.factor[:, 4], start[:, 4])
+    assert res.sweeps > 1
+    start, *_ = reference_riemannian_sdp_inf(M, EPS, np.random.default_rng(11), max_sweeps=0)
+    np.testing.assert_array_equal(res.factor[:, dead], start[:, dead])
+    # renormalising these unit columns would change their bits
+    assert np.any(start[:, dead] / np.linalg.norm(start[:, dead], axis=0) != start[:, dead])
+
+
+def ogd_loss_matrices(monkeypatch, dist, t_max):
+    """The loss matrices of an l2 fit's iterates, recorded at its eigensolves:
+    the subproblems of a fit, from a path that no SDP solve steers."""
+    seen = []
+
+    def record(M):
+        seen.append(M)
+        return top_eigen(M)
+
+    monkeypatch.setattr(optimizer, "top_eigen", record)
+    optimizer.run_with_doubling(dist, optimizer.OgdConfig(regime="l2", t_max=t_max))
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("shape", ["importance", "snowball", "selective", "wide"])
+def test_sdp_inf_shortfall_is_no_larger_than_coordinate_ascent(monkeypatch, shape):
+    dist = {
+        "importance": lambda: gen_importance(n=50, split=25, m=150, seed=0)[0],
+        "snowball": lambda: gen_snowball(n=50, k=25, m=150, seed=0)[0],
+        "selective": lambda: gen_selective(n=32, windows=(1, 2, 4, 8, 16)),
+        "wide": lambda: gen_importance(n=200, split=100, m=100, seed=0)[0],
+    }[shape]()
+    new, old = [], []
+    for k, M in enumerate(ogd_loss_matrices(monkeypatch, dist, 40)[::2]):
+        lower, upper = sdp_bracket(M)
+        assert upper - lower <= 1e-5 * upper, k
+        for seed in (k, k + 100):
+            value = sdp_inf_solve(M, EPS, np.random.default_rng(seed)).objective
+            baseline = reference_sdp_inf(M, EPS, np.random.default_rng(seed))[1]
+            assert value <= upper * (1 + 1e-12) and baseline <= upper * (1 + 1e-12)
+            new.append(1 - value / upper)
+            old.append(1 - baseline / upper)
+    assert np.median(new) <= np.median(old), (np.median(new), np.median(old))
 
 
 def test_sdp_inf_ascent_is_monotone():
