@@ -8,6 +8,7 @@ that ``wcmean experiment selective --overlap-windows`` reports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,10 @@ class GroupStructure:
         n = probs.size
         if probs.ndim != 1 or not np.all((probs > 0.0) & (probs <= 1.0)):
             raise ValueError("inclusion probabilities must be a 1-D array of values in (0, 1]")
-        groups = tuple(tuple(sorted(int(j) for j in g)) for g in self.groups)
+        try:
+            groups = tuple(tuple(sorted(map(operator.index, g))) for g in self.groups)
+        except TypeError as exc:  # int would truncate a float index
+            raise ValueError(f"group indices must be integers: {exc}") from None
         seen: set[int] = set()
         for g in groups:
             for j in g:

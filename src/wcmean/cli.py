@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .core import (
     LINF,
     SchemaError,
     _load_json,
+    _positive_float,
     fixed_data_error,
     load_distribution_file,
     load_estimator_file,
@@ -246,12 +246,8 @@ def _named_estimators(dist, dist_path, metadata, estimator_paths, baseline_names
 
 def _dataset_vector(spec: str, n: int, gs: GroupStructure | None) -> np.ndarray | None:
     """Fixed-data vector for a dataset spec, or None for worst-case specs."""
-    if spec == "intergroup" and gs is not None:  # +1 on the first group, as the table reads it
-        if gs.n != n:
-            raise ValueError("group structure population size does not match")
-        return np.where(np.isin(np.arange(n), gs.groups[0]), 1.0, -1.0)
     if spec in ("constant", "intergroup", "intragroup"):
-        return synthetic_values(spec, n)
+        return synthetic_values(spec, n, groups=gs)
     if spec.startswith("spatial:"):
         path = Path(spec.split(":", 1)[1])
         points = _numeric_array(path, "points")
@@ -291,8 +287,7 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
     """Evaluate estimators on fixed datasets and worst-case relaxations."""
     if not estimator_paths and not baseline_names:
         raise ValueError("provide at least one --estimator or --baseline")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _positive_float("eps", eps)
     dist = load_distribution_file(dist_path)
     named, gs = _named_estimators(dist, dist_path, metadata, estimator_paths, baseline_names, dataset_specs)
     vectors = {spec: _dataset_vector(spec, dist.n, gs) for spec in dataset_specs}

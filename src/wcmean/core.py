@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -37,6 +38,21 @@ _PROB_SUM_TOL = 1e-9
 def _is_int(value) -> bool:
     """An int or a numpy integer, but not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _positive_float(name: str, value) -> float:
+    """``value`` as a float if it is an int or a float (numpy scalars
+    included, bools not) that is positive and finite; else ValueError, also
+    for an int beyond float range."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a float, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be positive and finite, got an int beyond float range") from None
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class SchemaError(ValueError):
@@ -95,11 +111,15 @@ class SampleTargetDistribution:
         # pairs often share one target object, canonicalised once
         last_raw, last_target = object(), ()
         for i, pair in enumerate(self.pairs):
-            sample = tuple(sorted(set(map(int, pair.sample))))
-            if pair.target is last_raw:
-                target = last_target
-            else:
-                target = tuple(sorted(set(map(int, pair.target))))
+            # operator.index refuses a float where int would truncate it
+            try:
+                sample = tuple(sorted(set(map(operator.index, pair.sample))))
+                if pair.target is last_raw:
+                    target = last_target
+                else:
+                    target = tuple(sorted(set(map(operator.index, pair.target))))
+            except TypeError as exc:
+                raise ValueError(f"pair {i}: indices must be integers: {exc}") from None
             if not target:
                 raise ValueError(f"pair {i}: target set is empty")
             # sorted, so the ends show any index outside [0, n)

@@ -70,14 +70,25 @@ def spatial_values(points: np.ndarray) -> np.ndarray:
     return points.sum(axis=1)
 
 
-def synthetic_values(row: str, n: int, split: int | None = None) -> np.ndarray:
+def synthetic_values(
+    row: str, n: int, split: int | None = None, *, groups: GroupStructure | None = None
+) -> np.ndarray:
     """A synthetic dataset: ``constant`` all ones, ``intergroup`` +1 on the
-    first group and -1 on the second (split defaults to n/2), ``intragroup``
-    alternating +1/-1 within every group."""
+    first group and -1 on the rest, ``intragroup`` alternating +1/-1 within
+    every group.  The first group is ``groups.groups[0]``, which must cover
+    n indices; without ``groups`` it is [0, split), split defaulting to
+    n/2.  The table and ``wcmean evaluate`` pass ``groups``; ``split`` is
+    read by the benchmark's workloads."""
     if row == "constant":
         return np.ones(n)
     if row == "intergroup":
-        return np.where(np.arange(n) < (n // 2 if split is None else split), 1.0, -1.0)
+        if groups is None:
+            first = np.arange(n) < (n // 2 if split is None else split)
+        elif groups.n != n:
+            raise ValueError("group structure population size does not match")
+        else:
+            first = np.isin(np.arange(n), groups.groups[0])
+        return np.where(first, 1.0, -1.0)
     if row == "intragroup":
         return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     raise ValueError(f"unknown synthetic dataset {row!r}")
@@ -147,7 +158,7 @@ def run_experiment(
     def fill_cell(row: str, col: str) -> float:
         est = estimators[col]
         if row in ("constant", "intergroup", "intragroup"):
-            values = synthetic_values(row, dist.n, generator["split"])
+            values = synthetic_values(row, dist.n, groups=gs)
             return fixed_data_error(est, dist, values)
         if row == "spatial":
             return fixed_data_error(est, dist, spatial_values(points))

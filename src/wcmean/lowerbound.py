@@ -16,6 +16,7 @@ indicator matrices over the two halves (``best_S_bruteforce``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -86,7 +87,10 @@ def check_non_expanding(
     are nonempty), so alpha is the probability of qualifying on exactly one
     side.
     """
-    S = set(int(j) for j in subset)
+    try:
+        S = set(map(operator.index, subset))
+    except TypeError as exc:  # int would truncate a float index
+        raise ValueError(f"subset indices must be integers: {exc}") from None
     for j in S:
         if not 0 <= j < dist.n:
             raise ValueError(f"subset index {j} outside [0, {dist.n})")

@@ -85,6 +85,7 @@ from .core import (
     SemilinearEstimator,
     _estimator_on_mask,
     _is_int,
+    _positive_float,
     build_loss_matrix,
     estimator_from_dense,
     loss_factor,
@@ -139,23 +140,20 @@ class OgdConfig:
         # a float or bool count would fail later, inside numpy or range; a
         # bool eps or p_init would run as 0 or 1, and a string fail in a
         # comparison.  numpy scalars are stored as the Python int or float.
-        kinds = {"t_max": int, "seed": int, "p_doublings_max": int, "eps": float, "p_init": float}
-        for name, kind in kinds.items():
+        for name in ("t_max", "seed", "p_doublings_max"):
             value = getattr(self, name)
-            if value is None and name in ("p_doublings_max", "p_init"):
+            if value is None and name == "p_doublings_max":
                 continue
-            if not (_is_int(value) or kind is float and isinstance(value, (float, np.floating))):
-                label = "an int" if kind is int else "a float"
-                raise ValueError(f"{name} must be {label}, got {value!r}")
-            object.__setattr__(self, name, kind(value))
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "eps", _positive_float("eps", self.eps))
+        if self.p_init is not None:
+            object.__setattr__(self, "p_init", _positive_float("p_init", self.p_init))
         if self.regime not in (LINF, L2):
             raise ValueError(f"regime must be {LINF!r} or {L2!r}, got {self.regime!r}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if self.p_init is not None and not 0 < self.p_init < math.inf:
-            raise ValueError(f"p_init must be positive and finite, got {self.p_init}")
         if self.p_doublings_max is not None and self.p_doublings_max < 0:
             raise ValueError("p_doublings_max must be >= 0")
         if self.seed < 0:

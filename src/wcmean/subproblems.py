@@ -11,8 +11,7 @@ loss matrix M(a):
   low-rank factored form X = V^T V by Riemannian gradient ascent over the
   whole factor, on the manifold of unit-norm columns, with Barzilai-Borwein
   steps; one iteration costs one (rank x n)(n x n) product.  Its stop is a
-  heuristic oracle, a small linearised gap, not a certificate.  Sign
-  rounding recovers a cube adversary.
+  heuristic oracle, a small linearised gap, not a certificate.
 
 Each solver checks the Gram matrix it factors, which also catches finite
 rows whose products overflow.
@@ -27,12 +26,12 @@ import numpy as np
 
 from .core import (
     L2,
-    LINF,
     DataValues,
     LossMatrix,
     SampleTargetDistribution,
     SemilinearEstimator,
     _is_int,
+    _positive_float,
     build_loss_matrix,
 )
 
@@ -73,8 +72,7 @@ class PsdAssignment:
 
     factor: np.ndarray  # (rank, n), columns are the vector assignments
     objective: float
-    rank: int
-    sweeps: int = 0
+    sweeps: int
 
     def dense(self) -> np.ndarray:
         return self.factor.T @ self.factor
@@ -158,10 +156,7 @@ def sdp_inf_solve(
     SdpConvergenceError carrying the best assignment if ``max_sweeps``
     iterations end first; ``max_sweeps=0`` only tests the start.
     """
-    if not (_is_int(eps) or isinstance(eps, (float, np.floating))):
-        raise ValueError(f"eps must be a float, got {eps!r}")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    eps = _positive_float("eps", eps)
     if not _is_int(max_sweeps):
         raise ValueError(f"max_sweeps must be an int, got {max_sweeps!r}")
     if max_sweeps < 0:
@@ -188,7 +183,7 @@ def sdp_inf_solve(
             best_obj, best_V = obj, V
         gap = float(np.sqrt(np.einsum("ij,ij->j", W, W)).sum()) - obj
         if gap <= eps / _GAP_DIVISOR * max(obj, trace):
-            return PsdAssignment(best_V, best_obj, rank, sweep)
+            return PsdAssignment(best_V, best_obj, sweep)
         if sweep == max_sweeps:
             break
         R = W - V * dots
@@ -202,30 +197,4 @@ def sdp_inf_solve(
         norms = np.sqrt(np.einsum("ij,ij->j", V, V))
         norms[dead] = 1.0
         V /= norms
-    raise SdpConvergenceError(PsdAssignment(best_V, best_obj, rank, max_sweeps))
-
-
-def round_sign(
-    assignment: PsdAssignment,
-    M: LossMatrix,
-    trials: int,
-    rng: np.random.Generator,
-) -> DataValues:
-    """Gaussian sign rounding of an SDP point to a cube vertex.
-
-    Each trial draws g ~ N(0, I_rank) and takes x = sign(V^T g) with
-    sign(0) := +1; the best x^T M x over the trials is kept.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    best_val = -math.inf
-    best_x: np.ndarray | None = None
-    for _ in range(trials):
-        g = rng.standard_normal(assignment.rank)
-        x = np.where(assignment.factor.T @ g >= 0.0, 1.0, -1.0)
-        val = M.quad(x)
-        if val > best_val:
-            best_val = val
-            best_x = x
-    assert best_x is not None
-    return DataValues(best_x, LINF)
+    raise SdpConvergenceError(PsdAssignment(best_V, best_obj, max_sweeps))

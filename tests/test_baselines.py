@@ -32,6 +32,12 @@ def two_point_gs(p0, p1):
     return GroupStructure(groups=((0,), (1,)), inclusion_prob=np.array([p0, p1]))
 
 
+def test_group_structure_refuses_non_integer_indices():
+    # int() truncated the group (0.5, 1.2) to (0, 1), a valid partition here
+    with pytest.raises(ValueError, match="group indices must be integers"):
+        GroupStructure(groups=((0.5, 1.2), (2,)), inclusion_prob=np.full(3, 0.5))
+
+
 # ── reweighting ──────────────────────────────────────────────────────
 
 

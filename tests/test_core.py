@@ -107,6 +107,16 @@ def test_dist_names_the_first_bad_index(sample, target, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "sample, target",
+    [((0.7, True), (2.2,)), ((0,), (2.2,)), ((np.float64(1.0),), (2,))],
+)
+def test_dist_refuses_non_integer_indices(sample, target):
+    # int() truncated each one: (0.7, True) was kept as the sample (0, 1)
+    with pytest.raises(ValueError, match="pair 1: indices must be integers"):
+        SampleTargetDistribution(3, (IndexPair((0,), (1,)), IndexPair(sample, target)))
+
+
 def test_dist_canonicalizes_a_shared_target_for_every_pair():
     target = (3, 1, np.int64(1))
     pairs = (IndexPair((2, 0), target), IndexPair((1,), target), IndexPair((), (1, 3)), IndexPair((3,), target))

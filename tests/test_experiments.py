@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dist
+from wcmean.baselines import GroupStructure
 from wcmean.core import estimator_from_dense, fixed_data_error
 from wcmean.experiments import (
     EXPERIMENTS,
@@ -29,6 +30,16 @@ def test_synthetic_values():
     np.testing.assert_array_equal(synthetic_values("intragroup", 4), [1, -1, 1, -1])
     with pytest.raises(ValueError):
         synthetic_values("spatial", 4)
+
+
+def test_intergroup_takes_the_first_group():
+    gs = GroupStructure(groups=((1, 3), (0, 2, 4)), inclusion_prob=np.full(5, 0.5))
+    np.testing.assert_array_equal(synthetic_values("intergroup", 5, groups=gs), [-1, 1, -1, 1, -1])
+    np.testing.assert_array_equal(synthetic_values("intergroup", 5), [1, 1, -1, -1, -1])
+    # the other rows ignore the groups
+    np.testing.assert_array_equal(synthetic_values("constant", 5, groups=gs), np.ones(5))
+    with pytest.raises(ValueError, match="population size does not match"):
+        synthetic_values("intergroup", 4, groups=gs)
 
 
 def test_spatial_values_sum_coordinates():

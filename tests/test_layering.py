@@ -1,8 +1,12 @@
 """Import layering: the process generators and the baselines build on
 ``core`` alone, so neither imports the optimizer, its subproblems or the
-experiment tables."""
+experiment tables.  The package's ``__init__`` imports nothing, so the
+layering holds at import time too."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,31 @@ def relative_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", ["collectors", "baselines"])
 def test_module_imports_nothing_above_it(module):
     assert relative_imports(module) & ABOVE == set()
+
+
+def test_package_init_imports_nothing():
+    tree = ast.parse((Path(wcmean.__file__).parent / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+# the package modules a fresh import of each module loads: itself and
+# what it builds on
+LOADS = {
+    "core": ["wcmean.core"],
+    "baselines": ["wcmean.baselines", "wcmean.core"],
+    "collectors": ["wcmean.baselines", "wcmean.collectors", "wcmean.core"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_fresh_import_loads_nothing_above(module):
+    src = str(Path(wcmean.__file__).parent.parent)
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import wcmean.{module}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wcmean.'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == LOADS[module]
 
 
 # The estimator's storage format is known to ``core`` alone: no other

@@ -58,6 +58,9 @@ def test_check_non_expanding_rejects_bad_index():
     dist = make_dist(3, [([0], [1])])
     with pytest.raises(ValueError):
         check_non_expanding(dist, [3])
+    # int() truncated this subset to (0, 1) and certified it
+    with pytest.raises(ValueError, match="subset indices must be integers"):
+        check_non_expanding(dist, [0.9, 1.7, True])
 
 
 def test_half_split_alpha_is_one():

@@ -59,10 +59,13 @@ def test_radius_formulas():
         {"p_init": 0.0},
         {"p_init": math.nan},
         {"p_init": math.inf},
+        # an int beyond float range raised OverflowError
+        {"eps": 10**400},
+        {"p_init": 10**400},
     ],
 )
 def test_config_rejects_bad_eps_and_p_init(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be positive and finite"):
         OgdConfig(regime=LINF, **kwargs)
 
 

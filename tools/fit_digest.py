@@ -4,6 +4,7 @@ Usage::
 
     python tools/fit_digest.py <src dir>               # the fixed set below
     python tools/fit_digest.py <src dir> --table-size  # the tables at full size
+    python tools/fit_digest.py <src dir> --cli         # files the CLI writes
 
 It imports ``wcmean`` from ``<src dir>`` (the ``src`` directory of a
 checkout), so running it on two checkouts compares their results: equal
@@ -27,6 +28,15 @@ Hashed: estimator arrays, every ``OgdTrace`` field but ``elapsed_ms`` (the
 attempt records included), table cells, estimators and provenance without
 ``runtime_s``, and the certificate with its adversary.  Floats are hashed by
 their exact hex form, so a value's Python or numpy type does not matter.
+
+``--cli`` digests the files of a ``wcmean generate``, ``optimize`` and
+``evaluate`` session instead (under a second), run in a temporary directory
+so that the paths they record are relative.  The importance process
+(m = 150, a first group of 10 of 50) is evaluated with its metadata for an
+l2 OGD estimator file and the subgroup baseline, on every fixed row and
+both worst cases.  A snowball process, which has no groups, is evaluated
+for the sample mean on ``intergroup``, +1 on its first half.  Every file is
+hashed by its bytes but the trace CSV, which holds wall times.
 """
 
 from __future__ import annotations
@@ -136,17 +146,46 @@ def table_size(h) -> None:
             feed_table(h, experiments.run_experiment(name, seed=seed, m=2000, t_max=1000))
 
 
+def cli_session(h) -> None:
+    from click.testing import CliRunner
+    from wcmean.cli import main
+
+    runner = CliRunner()
+
+    def run(*args: str) -> None:
+        result = runner.invoke(main, list(args))
+        if result.exit_code != 0:
+            raise RuntimeError(f"wcmean {' '.join(args)} exited {result.exit_code}: {result.output}")
+
+    datasets = ("constant", "intergroup", "intragroup", "worst-linf", "worst-l2")
+    with runner.isolated_filesystem():
+        run("generate", "importance", "--split", "10", "--m", "150", "--seed", "1", "--out", "imp.json")
+        run("optimize", "--dist", "imp.json", "--regime", "l2", "--t-max", "40", "--out", "ogd.json")
+        run("evaluate", "--dist", "imp.json", "--estimator", "ogd.json", "--baseline", "subgroup",
+            *(arg for d in datasets for arg in ("--dataset", d)), "--out", "imp.csv")
+        run("generate", "snowball", "--m", "150", "--seed", "1", "--out", "snow.json")
+        run("evaluate", "--dist", "snow.json", "--baseline", "sample_mean",
+            "--dataset", "intergroup", "--out", "snow.csv")
+        for path in sorted(Path().iterdir()):
+            if not path.name.endswith(".trace.csv"):
+                h.update(path.name.encode())
+                h.update(path.read_bytes())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="directory that holds the wcmean package")
-    parser.add_argument("--table-size", action="store_true",
-                        help="digest the three tables at m = 2000, t_max = 1000, seeds 0 and 1")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--table-size", action="store_true",
+                       help="digest the three tables at m = 2000, t_max = 1000, seeds 0 and 1")
+    which.add_argument("--cli", action="store_true",
+                       help="digest the files of a generate, optimize and evaluate session")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     import wcmean
 
     h = hashlib.sha256()
-    notes = (table_size if args.table_size else fixed_set)(h)
+    notes = (table_size if args.table_size else cli_session if args.cli else fixed_set)(h)
     print(f"wcmean from {Path(wcmean.__file__).parent}", file=sys.stderr)
     if notes:
         print(f"fits by last note: {dict(sorted(notes.items()))}", file=sys.stderr)
