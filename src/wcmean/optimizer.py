@@ -34,9 +34,11 @@ exponentiated gradient steps (Tsuda, Raetsch & Warmuth 2005; Arora & Kale
 p is ruled out once the regime's bound exceeds p (with a 1e-9 relative
 margin for rounding):
 
-* l2: g(X) <= n lambda_max(M(a)), and every iterate's f_t is
-  n lambda_max(M(a_t)) from an exact eigensolve, so the attempt at p would
-  end with best_value > p and be rejected.
+* l2: g(X) <= n lambda_max(M(a)), and every iterate's f_t is n rho_t
+  from ``top_eigen``, whose Rayleigh quotient is checked on every call to
+  be within 1e-12 lambda_max(M(a_t)) of it (with an ``eigh`` fallback), a
+  thousandth of the margin, so the attempt at p would end with
+  best_value > p and be rejected.
 * linf: the same ascent's point, rescaled to X' = D^{-1/2} X D^{-1/2} with
   D = diag(X), has unit diagonal, so g(X') <= <M(a), X'> <= SDP_inf(M(a)).
   g(X') is a second right-hand side of the same solves.  The skip is sound
@@ -62,8 +64,8 @@ make (in linf, barring such an under-reported acceptance).  The reported
 bound is only the one those steps reach, lower than an ascent at every
 radius would reach.
 
-The l2 subproblem is solved exactly; eps sets only the stopping rule of the
-linf SDP solver.
+The l2 subproblem is solved to within 1e-12 of lambda_max, relatively, and
+checked; eps sets only the stopping rule of the linf SDP solver.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ _FEAS_TOL = 1e-9
 # dual ascent steps taken at most per doubling attempt, in either regime
 _DUAL_STEPS = 4
 # relative margin by which the dual bound must exceed p to rule p out: it
-# covers the rounding of the bound and of the eigensolve behind the l2 f_t
+# covers the rounding of the bound and top_eigen's checked shortfall of at
+# most 1e-12 lambda_max behind the l2 f_t
 _DUAL_MARGIN = 1e-9
 # weight of the identity mixed into each dual point, so that every block
 # X_AA of a least-squares solve has eigenvalues of at least this
@@ -126,7 +129,9 @@ class OgdConfig:
     p_init defaults to 1/n and p_doublings_max to ceil(log2 n) + 2 when
     left as None; p_doublings_max = 0 makes one run at radius parameter
     p_init.  eps sets the stopping rule of the linf SDP solver; the l2
-    subproblem is solved exactly and does not depend on it.
+    subproblem does not depend on it: its Rayleigh quotient is checked on
+    every call to be within 1e-12 lambda_max of ``eigvalsh``'s lambda_max,
+    with an ``eigh`` fallback.
     """
 
     regime: str
@@ -202,7 +207,9 @@ class OgdTrace:
 
     ``inner_steps`` counts each iteration's subproblem work: the SDP
     solver's iterations (``PsdAssignment.sweeps``, the cap when it was hit)
-    in linf, and 1, the one dense eigensolve, in l2.
+    in linf, and ``EigenResult.iterations`` in l2: 1 when the shifted solve
+    was accepted, 2 when the ``eigh`` fallback ran after it, 0 for a zero
+    loss matrix.
 
     ``run_with_doubling`` returns a copy that adds its note and sets
     ``attempts``, one record per doubling attempt; ``dual_steps``, the dual
@@ -406,7 +413,7 @@ def _run_single(
     f_arr = np.empty(cfg.t_max)
     lam_arr = np.empty(cfg.t_max)
     ms_arr = np.empty(cfg.t_max)
-    inner_arr = np.ones(cfg.t_max, dtype=int)
+    inner_arr = np.empty(cfg.t_max, dtype=int)
     for t in range(1, cfg.t_max + 1):
         tic = time.perf_counter()
         M = loss_factor(dist, resid)
@@ -423,6 +430,7 @@ def _run_single(
         else:
             eig = top_eigen(M)
             f_t = n * eig.rayleigh
+            inner_arr[t - 1] = eig.iterations
             X = math.sqrt(n) * eig.vector
         if f_t < best_value:
             best_value = f_t
@@ -563,7 +571,7 @@ class _Dual:
     def _add(self, rows: np.ndarray) -> None:
         """S += the supergradient rows^T rows scaled to norm 2 / sqrt(t)."""
         M = LossMatrix(self.dist.n, rows)
-        lam = np.linalg.eigh(gram(M))[0][-1]
+        lam = np.linalg.eigvalsh(gram(M))[-1]
         self.moving = lam > 0.0
         if self.moving:
             self.S += (2.0 / (lam * math.sqrt(self.steps + 1))) * M.dense

@@ -306,12 +306,12 @@ def test_ogd_step_fixed_point_at_target():
 
 
 def subproblem(regime, M, eps, rng):
-    """The OGD loop's subproblem: (f_t, X_t) for the regime."""
+    """The OGD loop's subproblem: (f_t, X_t, inner steps) for the regime."""
     if regime == LINF:
         assignment = sdp_inf_solve(M, eps, rng)
-        return assignment.objective, assignment
+        return assignment.objective, assignment, assignment.sweeps
     eig = top_eigen(M)
-    return M.dim * eig.rayleigh, math.sqrt(M.dim) * eig.vector
+    return M.dim * eig.rayleigh, math.sqrt(M.dim) * eig.vector, eig.iterations
 
 
 @pytest.mark.parametrize("regime", [L2, LINF])
@@ -335,9 +335,9 @@ def test_run_single_matches_public_step(regime, weighted):
     for t in range(1, cfg.t_max + 1):
         iterates.append(est)
         states.append(rng.bit_generator.state)
-        f_t, X = subproblem(regime, build_loss_matrix(est, dist), cfg.eps, rng)
+        f_t, X, inner = subproblem(regime, build_loss_matrix(est, dist), cfg.eps, rng)
         assert trace.f_t[t - 1] == f_t, t
-        assert trace.inner_steps[t - 1] == (X.sweeps if regime == LINF else 1), t
+        assert trace.inner_steps[t - 1] == inner, t
         est = ogd_step(est, X, t, geom, dist)
 
     # the returned iterate is the one at best_t, held apart from the loop's buffers
@@ -404,6 +404,37 @@ def test_trace_csv_round_trip(tmp_path):
         else:
             # SDP iterations from a random start: at least one each
             assert min(column) >= 1 and max(column) > 1
+
+
+def test_l2_inner_steps_show_fallbacks_and_zero_loss(monkeypatch, tmp_path):
+    # inner_steps holds top_eigen's iterations: 1 for the accepted shifted
+    # solve, 2 where eigh ran after it, 0 for a zero loss matrix
+    dist = random_dist(np.random.default_rng(32), 5, 8, full_targets=True)
+    cfg = OgdConfig(regime=L2, t_max=4, p_doublings_max=0)
+    _, trace, _ = run_with_doubling(dist, cfg)
+    assert trace.inner_steps.tolist() == [1] * 4
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", singular)
+        _, fallback, _ = run_with_doubling(dist, cfg)
+    assert fallback.inner_steps.tolist() == [2] * 4
+    # the two eigenvectors differ at the rounding level, and so do the iterates
+    np.testing.assert_allclose(fallback.f_t, trace.f_t, rtol=1e-9)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(fallback, path)
+    lines = path.read_text().strip().splitlines()
+    column = lines[0].split(",").index("inner_steps")
+    assert [int(line.split(",")[column]) for line in lines[1:]] == [2] * 4
+    summary = trace_summary(fallback)
+    assert summary["inner_steps_mean"] == 2.0 and summary["inner_steps_max"] == 2
+
+    # targets equal to samples: the sample mean has zero loss from the start
+    exact = make_dist(3, [([0, 1], [0, 1]), ([2], [2])])
+    _, zero, _ = run_with_doubling(exact, cfg)
+    assert zero.inner_steps.tolist() == [0] * 4
 
 
 def test_trace_summary_fields():

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import dense_lambda_max, hypercube_max, make_dist, random_dist, sdp_bracket
 from wcmean import optimizer
+from wcmean.baselines import uniform_init
 from wcmean.collectors import gen_importance, gen_selective, gen_snowball
 from wcmean.core import (
     LossMatrix,
@@ -20,6 +21,7 @@ from wcmean.core import (
     estimator_from_dense,
 )
 from wcmean.subproblems import (
+    _EIGEN_TOL,
     _GAP_DIVISOR,
     SdpConvergenceError,
     sdp2_value,
@@ -93,8 +95,8 @@ def factor_with_singular_values(rng, m, n, s):
 @pytest.mark.parametrize(
     "m, n, s",
     [
-        (9, 5, None),  # n <= m: eigh of the n x n Gram
-        (5, 9, None),  # m < n: eigh of the m x m Gram, mapped back
+        (9, 5, None),  # n <= m: the n x n Gram
+        (5, 9, None),  # m < n: the m x m Gram, mapped back
         (40, 40, None),
         (300, 260, None),
         (1, 7, None),  # rank one
@@ -115,6 +117,97 @@ def test_top_eigen_exact(m, n, s):
     assert res.rayleigh == pytest.approx(lam, rel=1e-10)
     assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_allclose(M.dense @ res.vector, lam * res.vector, atol=1e-10 * lam)
+
+
+def test_top_eigen_finds_the_top_vector_orthogonal_to_ones():
+    # the sample mean, OGD's first iterate, has residual rows that each sum
+    # to zero, so ones lies in the null space of its n x n Gram: a start of
+    # ones would miss the top eigenvector and fall back to eigh
+    dist = gen_importance(n=20, split=10, m=60, seed=3)[0]
+    M = build_loss_matrix(estimator_from_dense(dist, uniform_init(dist)), dist)
+    np.testing.assert_allclose(M.dense @ np.ones(dist.n), 0.0, atol=1e-12)
+    res = top_eigen(M)
+    lam = dense_lambda_max(M.dense)
+    assert res.iterations == 1
+    assert abs(res.vector.sum()) <= 1e-8
+    assert lam - res.rayleigh <= _EIGEN_TOL * lam
+
+
+def eigh_pair(M):
+    """The fallback's pair: eigh's top vector of M.dense, and ||rows v||^2."""
+    v = np.linalg.eigh(M.dense)[1][:, -1]
+    v = v / np.linalg.norm(v)
+    y = M.rows @ v
+    return v, float(y @ y)
+
+
+def test_top_eigen_falls_back_to_eigh_when_the_solve_fails(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    M = LossMatrix(5, np.random.default_rng(7).standard_normal((9, 5)))
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = top_eigen(M)
+    vector, rayleigh = eigh_pair(M)
+    assert res.iterations == 2
+    np.testing.assert_array_equal(res.vector, vector)
+    assert res.rayleigh == rayleigh
+
+
+def test_top_eigen_falls_back_to_eigh_when_the_start_misses_the_top_vector():
+    # the top eigenvector is orthogonal to the start sin(1..n), so inverse
+    # iteration can only amplify its rounding-level share of the start
+    n = 6
+    start = np.sin(np.arange(1.0, n + 1.0))
+    rng = np.random.default_rng(5)
+    top = rng.standard_normal(n)
+    top -= (top @ start) / (start @ start) * start
+    Q = np.linalg.qr(np.column_stack([top, rng.standard_normal((n, n - 1))]))[0]
+    rows = np.sqrt([4.0, 1.0, 0.5, 0.25, 0.1, 0.05])[:, None] * Q.T
+    M = LossMatrix(n, rows)
+    assert abs(Q[:, 0] @ start) <= 1e-12
+    res = top_eigen(M)
+    vector, rayleigh = eigh_pair(M)
+    assert res.iterations == 2
+    np.testing.assert_array_equal(res.vector, vector)
+    assert res.rayleigh == rayleigh == pytest.approx(4.0, rel=1e-12)
+
+
+EIGEN_CASES = ["m<n", "n<=m", "rank-one", "repeated-top"]
+
+
+def eigen_case(rng, case):
+    """Random loss factor rows of one kind: m < n, n <= m, rank one, or a
+    repeated top singular value."""
+    n = int(rng.integers(2, 40))
+    if case == "m<n":
+        return LossMatrix(n, rng.standard_normal((int(rng.integers(1, n)), n)))
+    if case == "n<=m":
+        return LossMatrix(n, rng.standard_normal((int(rng.integers(n, 2 * n + 1)), n)))
+    if case == "rank-one":
+        m = int(rng.integers(1, 2 * n))
+        return LossMatrix(n, np.outer(rng.standard_normal(m), rng.standard_normal(n)))
+    m = int(rng.integers(2, 2 * n))
+    k = min(m, n)
+    s = np.sort(rng.uniform(0.1, 1.0, k))[::-1]
+    s[1] = s[0]
+    return LossMatrix(n, factor_with_singular_values(rng, m, n, s))
+
+
+@pytest.mark.parametrize("case", EIGEN_CASES)
+def test_top_eigen_rayleigh_within_tolerance_on_random_factors(case):
+    rng = np.random.default_rng(EIGEN_CASES.index(case))
+    for trial in range(60):
+        M = eigen_case(rng, case)
+        res = top_eigen(M)
+        lam = dense_lambda_max(M.dense)
+        assert res.iterations in (1, 2), trial
+        assert res.rayleigh >= lam * (1.0 - _EIGEN_TOL), (trial, lam, res.rayleigh)
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-12)
+        # ||M v - rho v||^2 <= rho (lambda - rho) for a unit v, so the
+        # accepted shortfall bounds the residual by sqrt(_EIGEN_TOL) lambda
+        residual = M.dense @ res.vector - res.rayleigh * res.vector
+        assert np.linalg.norm(residual) <= math.sqrt(_EIGEN_TOL) * lam, trial
 
 
 # ── sdp2_value ───────────────────────────────────────────────────────

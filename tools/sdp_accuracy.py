@@ -1,4 +1,4 @@
-"""Per-call accuracy of ``sdp_inf_solve`` on the benchmark's problem shapes.
+"""Per-call accuracy of ``sdp_inf_solve`` and ``top_eigen`` on the benchmark's shapes.
 
 Usage::
 
@@ -8,8 +8,9 @@ It imports ``wcmean`` from ``<src dir>`` (the ``src`` directory of a
 checkout), so running it on two checkouts compares their solvers on the same
 instances.  For each shape it records the loss matrices of the l2 fits of
 seeds 0 and 1 (t_max = 40, the default doubling), at every eigensolve.  No
-SDP solve steers that path, so every checkout sees the same matrices.  Each
-matrix is solved at eps = 0.01 from two seeded starts, as the OGD loop
+SDP solve steers that path, but the eigensolve does: a checkout whose
+``top_eigen`` rounds differently sees matrices that differ at that level.
+Each matrix is solved at eps = 0.01 from two seeded starts, as the OGD loop
 calls the solver, and each value is compared with the upper end U of a tight
 bracket [L, U] on the SDP value computed here with numpy alone:
 
@@ -19,8 +20,13 @@ bracket [L, U] on the SDP value computed here with numpy alone:
 
 Printed per shape: the calls, the median and max shortfall 1 - value / U,
 the mean solver iterations per call (``PsdAssignment.sweeps``), the median
-milliseconds per call and the widest bracket (U - L) / U.  It takes about
-4 s on a 2-core machine.  pytest does not collect it.
+milliseconds per call and the widest bracket (U - L) / U.  A second table
+gives, per shape, ``top_eigen`` on the same matrices: the calls, the median
+and max shortfall (lambda - rho) / lambda of its Rayleigh quotient rho
+against lambda = lambda_max(M) from ``eigvalsh`` of the n x n matrix, the
+calls that fell back to ``eigh`` (``EigenResult.iterations`` 2) and the
+median milliseconds per call.  It takes about 6 s on a 2-core machine.
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -104,13 +110,13 @@ def bracket(dense: np.ndarray, gap: float = 1e-13, cap: int = 20_000) -> tuple[f
     return lower, lower + n * max(lam, 0.0)
 
 
-def measure(make) -> dict:
+def measure(fits: list) -> dict:
     from wcmean.subproblems import SdpConvergenceError, sdp_inf_solve
 
     shortfalls, iterations, ms, widths = [], [], [], []
     calls = 0
-    for seed in SEEDS:
-        for k, M in enumerate(fit_matrices(make(seed), seed)):
+    for matrices in fits:
+        for k, M in enumerate(matrices):
             lower, upper = bracket(M.dense)
             widths.append((upper - lower) / upper if upper > 0 else 0.0)
             for start in (k, k + 1000):
@@ -133,6 +139,28 @@ def measure(make) -> dict:
     }
 
 
+def measure_l2(fits: list) -> dict:
+    from wcmean.subproblems import top_eigen
+
+    shortfalls, ms = [], []
+    fallbacks = 0
+    for matrices in fits:
+        for M in matrices:
+            tic = time.perf_counter()
+            res = top_eigen(M)
+            ms.append((time.perf_counter() - tic) * 1e3)
+            lam = float(np.linalg.eigvalsh(M.dense)[-1])
+            shortfalls.append((lam - res.rayleigh) / lam if lam > 0 else 0.0)
+            fallbacks += res.iterations == 2
+    return {
+        "calls": len(ms),
+        "median": statistics.median(shortfalls),
+        "max": max(shortfalls),
+        "fallbacks": fallbacks,
+        "ms": statistics.median(ms),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="directory that holds the wcmean package")
@@ -141,11 +169,20 @@ def main() -> None:
     import wcmean
 
     print(f"wcmean from {Path(wcmean.__file__).parent}", file=sys.stderr)
+    fits = {name: [fit_matrices(make(seed), seed) for seed in SEEDS]
+            for name, make in shapes().items()}
+    print("sdp_inf_solve")
     print(f"{'shape':<11} {'calls':>5} {'median':>9} {'max':>9} {'iters':>6} {'ms':>6} {'bracket':>8}")
-    for name, make in shapes().items():
-        r = measure(make)
+    for name, matrices in fits.items():
+        r = measure(matrices)
         print(f"{name:<11} {r['calls']:>5} {r['median']:>9.2e} {r['max']:>9.2e} "
               f"{r['iterations']:>6.1f} {r['ms']:>6.3f} {r['bracket']:>8.1e}")
+    print("top_eigen")
+    print(f"{'shape':<11} {'calls':>5} {'median':>9} {'max':>9} {'fallbk':>6} {'ms':>6}")
+    for name, matrices in fits.items():
+        r = measure_l2(matrices)
+        print(f"{name:<11} {r['calls']:>5} {r['median']:>9.2e} {r['max']:>9.2e} "
+              f"{r['fallbacks']:>6d} {r['ms']:>6.3f}")
 
 
 if __name__ == "__main__":
