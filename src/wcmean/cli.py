@@ -7,13 +7,15 @@ data).  All commands are deterministic under fixed flags and seed; the
 only non-reproducible bytes are wall-clock fields (trace elapsed_ms,
 provenance runtimes).
 
-Exit codes: 0 success; 2 usage or parameter errors; 3 malformed input
-files; 4 infeasible radius or solver non-convergence; 5 exhaustive-search
-size limit exceeded.
+Exit codes: 0 success; 2 usage or parameter errors, and output paths
+that cannot be written; 3 unreadable or malformed input files; 4
+infeasible radius or solver non-convergence; 5 exhaustive-search size
+limit exceeded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -88,6 +90,16 @@ def handle_errors(fn):
     return wrapper
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an output path that cannot be written (a directory, a missing
+    parent, no permission) as a usage error, exit 2, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _meta_path(out: Path) -> Path:
     return out.with_suffix(".meta.json")
 
@@ -151,8 +163,10 @@ def cmd_generate(process, out, meta_out, seed, m, n, split, probs, k, neighbors,
             raise ValueError(f"cannot parse window list {windows!r}")
         dist = gen_selective(**params, overlap=overlap)
         extras = {"window_convention": "overlap" if overlap else "disjoint"}
-    save_distribution_file(dist, out)
-    _write_json({"process": process, **params, **extras}, meta_out)
+    with _writing(out):
+        save_distribution_file(dist, out)
+    with _writing(meta_out):
+        _write_json({"process": process, **params, **extras}, meta_out)
     click.echo(f"wrote {out} ({dist.m} pairs) and {meta_out}")
 
 
@@ -182,9 +196,12 @@ def cmd_optimize(dist_path, regime, eps, t_max, seed, p_init, max_doublings, out
     est, trace, p_final = run_with_doubling(dist, cfg)
     trace_path = trace_path if trace_path is not None else out.with_suffix(".trace.csv")
     summary_path = summary_path if summary_path is not None else out.with_suffix(".summary.json")
-    save_estimator_file(est, out)
-    write_trace_csv(trace, trace_path)
-    _write_json(trace_summary(trace, p_final), summary_path)
+    with _writing(out):
+        save_estimator_file(est, out)
+    with _writing(trace_path):
+        write_trace_csv(trace, trace_path)
+    with _writing(summary_path):
+        _write_json(trace_summary(trace, p_final), summary_path)
     click.echo(
         f"wrote {out}; best value {trace.best_value:.6f} at t={trace.best_t}, p_final={p_final:.6g}"
     )
@@ -307,7 +324,8 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
         for i in range(len(named))
         for spec in dataset_specs
     ]
-    Path(out).write_text("\n".join(lines) + "\n")
+    with _writing(out):
+        out.write_text("\n".join(lines) + "\n")
     provenance = {
         "distribution": str(dist_path),
         "estimators": [name for name, _ in named],
@@ -315,7 +333,9 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
         "eps": eps,
         "seed": seed,
     }
-    _write_json(provenance, out.with_suffix(".provenance.json"))
+    provenance_path = out.with_suffix(".provenance.json")
+    with _writing(provenance_path):
+        _write_json(provenance, provenance_path)
     click.echo(f"wrote {out}")
 
 
@@ -333,15 +353,19 @@ def cmd_experiment(name, out_dir, seed, num_seeds, m, eps, t_max, overlap_window
     """Reproduce a benchmark table; writes <name>.csv and <name>.provenance.json."""
     if num_seeds < 1:
         raise ValueError(f"num-seeds must be >= 1, got {num_seeds}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     results = [
         run_experiment(name, seed=s, m=m, eps=eps, t_max=t_max, overlap=overlap_windows)
         for s in range(seed, seed + num_seeds)
     ]
     result = results[0] if num_seeds == 1 else average_results(results)
     csv_path = out_dir / f"{name}.csv"
-    write_experiment_csv(result, csv_path)
-    _write_json(result.provenance, out_dir / f"{name}.provenance.json")
+    provenance_path = out_dir / f"{name}.provenance.json"
+    with _writing(csv_path):
+        write_experiment_csv(result, csv_path)
+    with _writing(provenance_path):
+        _write_json(result.provenance, provenance_path)
     click.echo(f"wrote {csv_path}")
     for row in result.rows:
         cells = "  ".join(f"{col}={result.cells[row][col]:.6f}" for col in result.columns)
@@ -389,7 +413,8 @@ def cmd_lowerbound(dist_path, subset, estimator_path, baseline_name, metadata, o
             "achieved_error": achieved,
             "alpha_over_4": cert.alpha / 4.0,
         }
-    _write_json(payload, out)
+    with _writing(out):
+        _write_json(payload, out)
     click.echo(
         f"alpha = {cert.alpha:.6f} (sides {cert.side1_count}/{cert.side2_count}); wrote {out}"
     )

@@ -34,6 +34,9 @@ _REGIME_TOL = 1e-12
 # allowed deviation of a probability vector's sum from one
 _PROB_SUM_TOL = 1e-9
 
+# rows per block written by save_estimator_file: the text it holds at a time
+_WRITE_BLOCK_ROWS = 16
+
 
 def _is_int(value) -> bool:
     """An int or a numpy integer, but not a bool."""
@@ -200,7 +203,9 @@ class SemilinearEstimator:
                     raise ValueError(f"weights[{i}]: index {j} outside [0, {n})")
                 if not math.isfinite(val):
                     raise ValueError(f"weights[{i}][{j}] is not finite")
-        _set_arrays(self, *_scatter(n, weights))
+        cols = chain.from_iterable(weights)
+        vals = chain.from_iterable(w.values() for w in weights)
+        _set_arrays(self, *_scatter(n, [len(w) for w in weights], cols, vals))
 
     @property
     def m(self) -> int:
@@ -219,11 +224,15 @@ class SemilinearEstimator:
             and np.array_equal(self.values, other.values)
         )
 
-    def _rows(self) -> list[tuple[list[int], list[float]]]:
-        """Each row's support columns and values, from one row-major pass."""
-        cols = np.nonzero(self.support)[1].tolist()
-        vals = self.values[self.support].tolist()
-        ends = np.cumsum(self.support.sum(axis=1)).tolist()
+    def _rows(
+        self, start: int = 0, stop: int | None = None
+    ) -> list[tuple[list[int], list[float]]]:
+        """The support columns and values of rows ``start:stop``, from one
+        row-major nonzero pass over that block."""
+        support = self.support[start:stop]
+        cols = np.nonzero(support)[1].tolist()
+        vals = self.values[start:stop][support].tolist()
+        ends = np.cumsum(support.sum(axis=1)).tolist()
         return [(cols[s:e], vals[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
     @property
@@ -240,12 +249,14 @@ def _entries(indices) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.fromiter(chain.from_iterable(indices), np.intp, len(rows))
 
 
-def _scatter(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, n) support and values of checked index -> weight maps."""
-    rows, cols = _entries(weights)
-    vals = np.fromiter(chain.from_iterable(w.values() for w in weights), float, len(rows))
-    support = np.zeros((len(weights), n), dtype=bool)
-    values = np.zeros((len(weights), n))
+def _scatter(n: int, counts: list[int], cols, vals) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) support and values of m checked rows given flat: row i
+    holds the next ``counts[i]`` of the columns ``cols`` and weights ``vals``."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = np.fromiter(cols, np.intp, len(rows))
+    vals = np.fromiter(vals, float, len(rows))
+    support = np.zeros((len(counts), n), dtype=bool)
+    values = np.zeros((len(counts), n))
     support[rows, cols] = True
     values[rows, cols] = vals
     return support, values
@@ -446,8 +457,10 @@ def estimator_from_dict(
 ) -> SemilinearEstimator:
     """Read the sparse JSON form, naming the first fault in a SchemaError.
 
-    Given ``dist``, the file's n and m are checked against it before the
-    (m, n) arrays are built, so a file cannot size them beyond the
+    Rows are checked in order; once a row is valid, its indices and values
+    move into two flat lists and its index -> value dict is dropped.  Given
+    ``dist``, the file's n and m are checked against it before one scatter
+    fills the (m, n) arrays, so a file cannot size them beyond the
     distribution's.
     """
     if not isinstance(data, dict) or "n" not in data or "weights" not in data:
@@ -458,7 +471,9 @@ def estimator_from_dict(
     raw = data["weights"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("bad_schema", '"weights" must be a nonempty list')
-    weights = []
+    counts: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise SchemaError("bad_schema", f"weights[{i}]: expected a list of [index, value]")
@@ -484,26 +499,22 @@ def estimator_from_dict(
             if not math.isfinite(val):
                 raise SchemaError("bad_schema", f"weights[{i}][{j}] is not finite")
             w[j] = val
-        weights.append(w)
+        counts.append(len(w))
+        cols.extend(w)
+        vals.extend(w.values())
     if dist is not None:
-        _check_shape(n, len(weights), dist)
-    return _set_arrays(object.__new__(SemilinearEstimator), *_scatter(n, weights))
-
-
-def estimator_to_dict(est: SemilinearEstimator) -> dict:
-    return {
-        "n": est.n,
-        "weights": [[[j, val] for j, val in zip(c, v)] for c, v in est._rows()],
-    }
+        _check_shape(n, len(counts), dist)
+    return _set_arrays(object.__new__(SemilinearEstimator), *_scatter(n, counts, cols, vals))
 
 
 def _load_json(path: str | Path):
     try:
-        raw = Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError("unreadable", f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(raw.decode("utf-8"))
+        data = data.decode("utf-8")  # rebound, so the bytes go before parsing
+        return json.loads(data)
     except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
         raise SchemaError("malformed_json", f"{path}: {exc}") from exc
 
@@ -520,12 +531,31 @@ def save_distribution_file(dist: SampleTargetDistribution, path: str | Path) -> 
 def load_estimator_file(
     path: str | Path, dist: SampleTargetDistribution | None = None
 ) -> SemilinearEstimator:
+    """Read an estimator file: the parsed JSON is checked row by row through
+    two flat lists (see ``estimator_from_dict``), and the raw bytes are
+    released once decoded."""
     return estimator_from_dict(_load_json(path), dist)
 
 
 def save_estimator_file(est: SemilinearEstimator, path: str | Path) -> None:
-    # a fresh dict too
-    Path(path).write_text(json.dumps(estimator_to_dict(est), check_circular=False) + "\n")
+    """Write the sparse JSON form: every support entry of each row, explicit
+    zeros included, as [index, value] in column order.
+
+    Rows go out in blocks of ``_WRITE_BLOCK_ROWS``, each read from the
+    (m, n) arrays by one nonzero pass and encoded by one call, so the text
+    held at a time is one block's, not the file's.  The bytes are those of
+    ``json.dumps({"n": ..., "weights": ...}) + "\\n"``.
+    """
+    # the rows are built fresh, so they hold no cycle to look for
+    encode = json.JSONEncoder(check_circular=False).encode
+    with Path(path).open("w") as fh:
+        fh.write(f'{{"n": {est.n}, "weights": [')
+        for start in range(0, est.m, _WRITE_BLOCK_ROWS):
+            # json writes each (index, value) tuple as a two-item list
+            block = [list(zip(c, v)) for c, v in est._rows(start, start + _WRITE_BLOCK_ROWS)]
+            # the block's rows without its brackets, after a separator from the last
+            fh.write((", " if start else "") + encode(block)[1:-1])
+        fh.write("]}\n")
 
 
 def estimator_from_dense(

@@ -1,6 +1,8 @@
 """End-to-end CLI coverage through click's test runner."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -753,6 +755,37 @@ def test_lowerbound_size_cap_exit_code(runner, tmp_path):
         ["lowerbound", "--dist", str(big), "--out", str(tmp_path / "c.json")],
     )
     assert result.exit_code == 5
+
+
+# ── output paths that cannot be written ──────────────────────────────
+
+
+@pytest.mark.parametrize(
+    "command, target, reason",
+    [
+        ("optimize", "{tmp}", errno.EISDIR),
+        ("generate", "{tmp}/nodir/s.json", errno.ENOENT),
+        ("evaluate", "{tmp}/nodir/r.csv", errno.ENOENT),
+        ("lowerbound", "{tmp}/nodir/c.json", errno.ENOENT),
+        ("experiment", "{tmp}/half.json", errno.EEXIST),  # a file, not a directory
+    ],
+    ids=["optimize-directory", "generate-no-parent", "evaluate-no-parent",
+         "lowerbound-no-parent", "experiment-file-as-out-dir"],
+)
+def test_unwritable_output_path_is_usage_error(runner, tmp_path, command, target, reason):
+    dist = str(half_split_file(tmp_path))
+    target = target.format(tmp=tmp_path)
+    args = {
+        "optimize": ["--dist", dist, "--regime", "l2", "--t-max", "4", "--out", target],
+        "generate": ["selective", "--out", target],
+        "evaluate": ["--dist", dist, "--baseline", "sample_mean", "--dataset", "constant",
+                     "--out", target],
+        "lowerbound": ["--dist", dist, "--subset", "0,1", "--out", target],
+        "experiment": ["importance", "--out-dir", target, *SMALL_EXP],
+    }[command]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2, result.output
+    assert f"error: cannot write {target}: {os.strerror(reason)}" in result.output
 
 
 def test_version_flag(runner):

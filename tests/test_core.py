@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from wcmean.core import (
     validate_estimator,
 )
 from wcmean.baselines import selective_prediction_estimator
-from wcmean.collectors import gen_selective
+from wcmean.collectors import gen_selective, gen_snowball
 from wcmean.lowerbound import semilinear_callable
 
 TOL = 1e-12
@@ -314,11 +315,14 @@ def test_estimator_round_trip(tmp_path):
         ([[2, 0.5], [1, 0.5], [2, 0.5]], "duplicate_indices", "weights[1]: duplicate index 2"),
         ([[1, 0.5], [2, math.inf]], "bad_schema", "weights[1][2] is not finite"),
         ([[1, 10**400]], "bad_schema", "weights[1]: value too large for a float"),
+        ([[1, 0.5], [2, math.nan]], "bad_schema", "weights[1][2] is not finite"),
+        ([[1, "0.5"]], "bad_schema", "weights[1]: entries must be [index, value]"),
+        ({"1": 0.5}, "bad_schema", "weights[1]: expected a list of [index, value]"),
     ],
 )
 def test_estimator_file_names_its_first_fault(tmp_path, row, code, message):
     path = tmp_path / "est.json"
-    # json writes inf as Infinity, which json.loads reads back as a float
+    # json writes inf and nan as Infinity and NaN, which json.loads reads back as floats
     path.write_text(json.dumps({"n": 3, "weights": [[[0, 0.5], [2, 1]], row, [[5, 0.5]]]}))
     with pytest.raises(SchemaError) as exc:
         load_estimator_file(path)
@@ -361,6 +365,21 @@ def test_estimator_file_keeps_explicit_zeros_byte_for_byte(tmp_path):
     pairs = [{"A": list(pair.sample), "B": list(pair.target), "p": p} for pair, p in zip(dist.pairs, dist.probs)]
     assert path.read_text() == json.dumps({"n": dist.n, "pairs": pairs}) + "\n"
     assert load_distribution_file(path) == dist
+
+
+def test_estimator_file_is_written_a_block_of_rows_at_a_time(tmp_path):
+    # the whole file as nested lists, then one string, took 9.5 MB at peak
+    dist, _ = gen_snowball(m=2000, seed=0)
+    est = estimator_from_dense(dist, np.random.default_rng(0).random((dist.m, dist.n)))
+    assert int(est.support.sum()) == 50_000
+    tracemalloc.start()
+    try:
+        save_estimator_file(est, tmp_path / "est.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+    assert load_estimator_file(tmp_path / "est.json") == est
 
 
 def test_weights_view_is_rebuilt_on_each_read():
