@@ -16,8 +16,10 @@ limit exceeded.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -100,6 +102,20 @@ def _writing(path: Path):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_writable(*paths: Path) -> None:
+    """Refuse, before any work, an output path that is a directory or whose
+    parent is missing or a file, with the reason the write would give; no
+    file is created."""
+    for path in paths:
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _meta_path(out: Path) -> Path:
     return out.with_suffix(".meta.json")
 
@@ -136,6 +152,7 @@ def main():
 def cmd_generate(process, out, meta_out, seed, m, n, split, probs, k, neighbors, recruit, graph, traversal, start_policy, stall, windows, overlap):
     """Generate a collection process and write it with sidecar metadata."""
     meta_out = meta_out if meta_out is not None else _meta_path(out)
+    _check_writable(out, meta_out)
     if n is None:
         defaults = {
             "importance": IMPORTANCE_PARAMS, "snowball": SNOWBALL_PARAMS, "selective": SELECTIVE_PARAMS
@@ -184,6 +201,9 @@ def cmd_generate(process, out, meta_out, seed, m, n, split, probs, k, neighbors,
 @handle_errors
 def cmd_optimize(dist_path, regime, eps, t_max, seed, p_init, max_doublings, out, trace_path, summary_path):
     """Synthesize an estimator by OGD with the radius-doubling scheme."""
+    trace_path = trace_path if trace_path is not None else out.with_suffix(".trace.csv")
+    summary_path = summary_path if summary_path is not None else out.with_suffix(".summary.json")
+    _check_writable(out, trace_path, summary_path)
     dist = load_distribution_file(dist_path)
     cfg = OgdConfig(
         regime=regime,
@@ -194,8 +214,6 @@ def cmd_optimize(dist_path, regime, eps, t_max, seed, p_init, max_doublings, out
         seed=seed,
     )
     est, trace, p_final = run_with_doubling(dist, cfg)
-    trace_path = trace_path if trace_path is not None else out.with_suffix(".trace.csv")
-    summary_path = summary_path if summary_path is not None else out.with_suffix(".summary.json")
     with _writing(out):
         save_estimator_file(est, out)
     with _writing(trace_path):
@@ -305,6 +323,8 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
     if not estimator_paths and not baseline_names:
         raise ValueError("provide at least one --estimator or --baseline")
     _positive_float("eps", eps)
+    provenance_path = out.with_suffix(".provenance.json")
+    _check_writable(out, provenance_path)
     dist = load_distribution_file(dist_path)
     named, gs = _named_estimators(dist, dist_path, metadata, estimator_paths, baseline_names, dataset_specs)
     vectors = {spec: _dataset_vector(spec, dist.n, gs) for spec in dataset_specs}
@@ -333,7 +353,6 @@ def cmd_evaluate(dist_path, estimator_paths, baseline_names, dataset_specs, meta
         "eps": eps,
         "seed": seed,
     }
-    provenance_path = out.with_suffix(".provenance.json")
     with _writing(provenance_path):
         _write_json(provenance, provenance_path)
     click.echo(f"wrote {out}")
@@ -384,6 +403,7 @@ def cmd_lowerbound(dist_path, subset, estimator_path, baseline_name, metadata, o
     """Certify non-expansion and optionally build adversarial data."""
     if estimator_path is not None and baseline_name is not None:
         raise ValueError("provide at most one of --estimator / --baseline")
+    _check_writable(out)
     dist = load_distribution_file(dist_path)
     if subset is not None:
         try:

@@ -38,7 +38,9 @@ def gen_importance(
     """Independent Bernoulli inclusion with two probability groups.
 
     Indices [0, split) are included with probs[0], the rest with probs[1];
-    every target set is the full population.
+    every target set is the full population, one tuple shared by all pairs.
+    Every row's sample is read from one row-major ``np.nonzero`` pass over
+    the (m, n) draws, as Python ints.
     """
     _check_ints(n=n, split=split, m=m, seed=seed)
     if not 0 < split < n:
@@ -52,15 +54,18 @@ def gen_importance(
     rng = np.random.default_rng(seed)
     inclusion = np.where(np.arange(n) < split, probs[0], probs[1])
     draws = rng.random((m, n)) < inclusion
+    # every row's sample from one row-major nonzero pass, as Python ints
+    cols = np.nonzero(draws)[1].tolist()
+    ends = np.cumsum(draws.sum(axis=1)).tolist()
     full = tuple(range(n))
     pairs = tuple(
-        IndexPair(tuple(int(j) for j in np.flatnonzero(row)), full) for row in draws
+        IndexPair(tuple(cols[s:e]), full) for s, e in zip([0] + ends[:-1], ends)
     )
     gs = GroupStructure(
         groups=(tuple(range(split)), tuple(range(split, n))),
         inclusion_prob=inclusion,
     )
-    return SampleTargetDistribution(int(n), pairs), gs
+    return SampleTargetDistribution(n, pairs), gs
 
 
 def _recruitment_lists(
@@ -334,7 +339,7 @@ def gen_snowball(
     for _ in range(m):
         s = fixed_start if fixed_start is not None else pick_start()
         pairs.append(IndexPair(tuple(sorted(draw(s))), full))
-    return SampleTargetDistribution(int(n), tuple(pairs)), points
+    return SampleTargetDistribution(n, tuple(pairs)), points
 
 
 def gen_selective(
@@ -376,5 +381,5 @@ def gen_selective(
                 target = tuple(range(t, t + w))
             pairs.append(IndexPair(sample, target))
             probs.append(1.0 / (len(windows) * len(prefixes)))
-    return SampleTargetDistribution(int(n), tuple(pairs), tuple(probs))
+    return SampleTargetDistribution(n, tuple(pairs), tuple(probs))
 

@@ -14,12 +14,14 @@ vector, each weighted by its pair probability.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -90,6 +92,84 @@ class IndexPair:
     target: tuple[int, ...]
 
 
+def _type_is(kind: type, items) -> np.ndarray:
+    """Per item, whether its type is exactly ``kind``: one C-level pass."""
+    return np.fromiter(map(operator.is_, map(type, items), repeat(kind)), bool, len(items))
+
+
+def _canonical_lists(lists: list, n: int) -> np.ndarray:
+    """Per index sequence, whether it holds exact ints inside [0, n) that
+    strictly increase.  The chained indices are read twice, for their types
+    and by one ``np.fromiter``; only when some index is not an exact int or
+    lies beyond int64 are they read again one by one, as -1 for each such
+    index or any outside [0, n)."""
+    lengths = np.fromiter(map(len, lists), np.intp, len(lists))
+    owner = np.repeat(np.arange(len(lists)), lengths)
+    values = None
+    if set(map(type, chain.from_iterable(lists))) <= {int}:
+        with contextlib.suppress(OverflowError):
+            values = np.fromiter(chain.from_iterable(lists), np.int64, len(owner))
+    if values is None:
+        values = np.fromiter(
+            (j if type(j) is int and 0 <= j < n else -1 for j in chain.from_iterable(lists)),
+            np.int64,
+            len(owner),
+        )
+    bad = (values < 0) | (values >= n)
+    # an index of the same sequence no greater than the one before it
+    bad[1:] |= (values[1:] <= values[:-1]) & (owner[1:] == owner[:-1])
+    ok = np.ones(len(lists), dtype=bool)
+    ok[owner[bad]] = False
+    return ok
+
+
+def _canonical_as_given(pairs: tuple, n: int) -> np.ndarray:
+    """Per pair, whether it can be kept as given: an IndexPair whose sample
+    and nonempty target are tuples that pass ``_canonical_lists``."""
+    targets = list(map(attrgetter("target"), pairs))
+    # pairs often share one target object, checked once
+    distinct = dict(zip(map(id, targets), targets))
+    slot = dict(zip(distinct, range(len(distinct))))
+    lists = list(map(attrgetter("sample"), pairs))
+    lists += distinct.values()
+    ok = _type_is(tuple, lists)
+    if not ok.all():  # a list or other iterable, left to the rebuild
+        lists = [idx if good else () for idx, good in zip(lists, ok)]
+    ok &= _canonical_lists(lists, n)
+    m = len(pairs)
+    target_ok = ok[m:] & np.fromiter(map(bool, lists[m:]), bool, len(distinct))
+    passing = _type_is(IndexPair, pairs) & ok[:m]
+    return passing & target_ok[np.fromiter(map(slot.__getitem__, map(id, targets)), np.intp, m)]
+
+
+def _canonical_pairs(pairs: tuple, n: int, redo: np.ndarray) -> tuple[IndexPair, ...]:
+    """``pairs`` with each one flagged in ``redo`` rebuilt from sorted
+    distinct ints, or ValueError naming the first fault in pair order."""
+    out = list(pairs)
+    # id of a raw target -> its canonical form, built once per shared object
+    done: dict[int, tuple[int, ...]] = {}
+    for i in np.flatnonzero(redo).tolist():
+        pair = pairs[i]
+        # operator.index refuses a float where int would truncate it
+        try:
+            sample = tuple(sorted(set(map(operator.index, pair.sample))))
+            target = done.get(id(pair.target))
+            if target is None:
+                target = tuple(sorted(set(map(operator.index, pair.target))))
+        except TypeError as exc:
+            raise ValueError(f"pair {i}: indices must be integers: {exc}") from None
+        if not target:
+            raise ValueError(f"pair {i}: target set is empty")
+        # sorted, so the ends show any index outside [0, n)
+        for idx in (sample, target):
+            if idx and (idx[0] < 0 or idx[-1] >= n):
+                j = idx[0] if idx[0] < 0 else idx[bisect.bisect_left(idx, n)]
+                raise ValueError(f"pair {i}: index {j} outside [0, {n})")
+        done[id(pair.target)] = target
+        out[i] = IndexPair(sample, target)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SampleTargetDistribution:
     """Distribution over ``m`` (sample, target) pairs on ``[0, n)``.
@@ -99,6 +179,15 @@ class SampleTargetDistribution:
     means uniform, and pairs may then repeat (the object is a multiset).
     Explicit probabilities must be finite, nonnegative and sum to one
     within 1e-9; violations raise SchemaError.
+
+    ``n`` and the indices are taken through ``operator.index`` (a float
+    raises ValueError) and stored as Python ints.  Every check runs here,
+    in whole-array passes: each sample and each distinct target object
+    are checked at once by ``_canonical_lists``.  A pair whose sets are
+    tuples of exact ints, strictly increasing inside [0, n), with a
+    nonempty target, is kept as given; the others are rebuilt as sorted
+    tuples of distinct ints, pair by pair, which names the first fault.
+    ``sample_mask`` and ``target_rows`` are built on first use.
     """
 
     n: int
@@ -106,37 +195,26 @@ class SampleTargetDistribution:
     probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"population size must be >= 1, got {self.n}")
-        if len(self.pairs) < 1:
+        # operator.index refuses a float where int would truncate it
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"population size must be an integer, got {self.n!r}") from None
+        if n < 1:
+            raise ValueError(f"population size must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
+        pairs = tuple(self.pairs)
+        m = len(pairs)
+        if m < 1:
             raise ValueError("at least one (sample, target) pair is required")
-        canonical = []
-        # pairs often share one target object, canonicalised once
-        last_raw, last_target = object(), ()
-        for i, pair in enumerate(self.pairs):
-            # operator.index refuses a float where int would truncate it
-            try:
-                sample = tuple(sorted(set(map(operator.index, pair.sample))))
-                if pair.target is last_raw:
-                    target = last_target
-                else:
-                    target = tuple(sorted(set(map(operator.index, pair.target))))
-            except TypeError as exc:
-                raise ValueError(f"pair {i}: indices must be integers: {exc}") from None
-            if not target:
-                raise ValueError(f"pair {i}: target set is empty")
-            # sorted, so the ends show any index outside [0, n)
-            for idx in (sample, target):
-                if idx and (idx[0] < 0 or idx[-1] >= self.n):
-                    j = idx[0] if idx[0] < 0 else idx[bisect.bisect_left(idx, self.n)]
-                    raise ValueError(f"pair {i}: index {j} outside [0, {self.n})")
-            last_raw, last_target = pair.target, target
-            canonical.append(IndexPair(sample, target))
-        object.__setattr__(self, "pairs", tuple(canonical))
+        passing = _canonical_as_given(pairs, n)
+        if not passing.all():
+            pairs = _canonical_pairs(pairs, n, ~passing)
+        object.__setattr__(self, "pairs", pairs)
         if self.probs is not None:
             probs = tuple(float(p) for p in self.probs)
-            if len(probs) != len(canonical):
-                raise ValueError(f"expected {len(canonical)} pair probabilities, got {len(probs)}")
+            if len(probs) != m:
+                raise ValueError(f"expected {m} pair probabilities, got {len(probs)}")
             _check_probabilities(probs)
             object.__setattr__(self, "probs", probs)
 
@@ -410,7 +488,35 @@ def _check_index_list(raw, n: int, where: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
+def _pairs_checked_in_bulk(raw_pairs: list, n: int) -> tuple[IndexPair, ...] | None:
+    """The pairs of ``raw_pairs`` when every entry is a dict whose "A" and "B"
+    are lists of exact ints inside [0, n), strictly increasing, with "B"
+    nonempty: one check over all lists.  None otherwise, when the per-list
+    check is left to name the first fault.  Equal targets share one tuple."""
+    if not set(map(type, raw_pairs)) <= {dict}:
+        return None
+    try:
+        samples = list(map(itemgetter("A"), raw_pairs))
+        targets = list(map(itemgetter("B"), raw_pairs))
+    except KeyError:
+        return None
+    lists = samples + targets
+    if not (set(map(type, lists)) <= {list} and all(targets) and _canonical_lists(lists, n).all()):
+        return None
+    targets = list(map(tuple, targets))
+    # one tuple per distinct target, as the generators write them
+    shared = dict(zip(targets, targets))
+    return tuple(map(IndexPair, map(tuple, samples), map(shared.__getitem__, targets)))
+
+
 def distribution_from_dict(data) -> SampleTargetDistribution:
+    """Read the JSON form, naming the first fault in a SchemaError.
+
+    Every "A" and "B" list is checked at once: exact ints inside [0, n),
+    strictly increasing, and "B" nonempty.  Only when some list fails does
+    a pass pair by pair and list by list run, to name the first fault in
+    file order with its code.  The constructor then checks the pairs again.
+    """
     if not isinstance(data, dict) or "n" not in data or "pairs" not in data:
         raise SchemaError("bad_schema", 'distribution JSON must have keys "n" and "pairs"')
     n = data["n"]
@@ -419,16 +525,18 @@ def distribution_from_dict(data) -> SampleTargetDistribution:
     raw_pairs = data["pairs"]
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SchemaError("bad_schema", '"pairs" must be a nonempty list')
+    checked = _pairs_checked_in_bulk(raw_pairs, n)
     pairs = []
     probs = []
     for i, entry in enumerate(raw_pairs):
-        if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
-            raise SchemaError("bad_schema", f'pair {i}: expected keys "A" and "B"')
-        sample = _check_index_list(entry["A"], n, f'pair {i} "A"')
-        target = _check_index_list(entry["B"], n, f'pair {i} "B"')
-        if not target:
-            raise SchemaError("empty_target", f'pair {i}: "B" must be nonempty')
-        pairs.append(IndexPair(sample, target))
+        if checked is None:
+            if not isinstance(entry, dict) or "A" not in entry or "B" not in entry:
+                raise SchemaError("bad_schema", f'pair {i}: expected keys "A" and "B"')
+            sample = _check_index_list(entry["A"], n, f'pair {i} "A"')
+            target = _check_index_list(entry["B"], n, f'pair {i} "B"')
+            if not target:
+                raise SchemaError("empty_target", f'pair {i}: "B" must be nonempty')
+            pairs.append(IndexPair(sample, target))
         if "p" in entry:
             p = entry["p"]
             if not isinstance(p, (int, float)) or isinstance(p, bool):
@@ -437,11 +545,12 @@ def distribution_from_dict(data) -> SampleTargetDistribution:
                 probs.append(float(p))
             except OverflowError:  # an integer beyond float range
                 raise SchemaError("bad_schema", f'pair {i}: "p" too large for a float') from None
+    pairs = checked if checked is not None else tuple(pairs)
     if not probs:
-        return SampleTargetDistribution(n, tuple(pairs))
+        return SampleTargetDistribution(n, pairs)
     if len(probs) != len(pairs):
         raise SchemaError("bad_schema", '"p" must be given for every pair or for none')
-    return SampleTargetDistribution(n, tuple(pairs), tuple(probs))
+    return SampleTargetDistribution(n, pairs, tuple(probs))
 
 
 def distribution_to_dict(dist: SampleTargetDistribution) -> dict:

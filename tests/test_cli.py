@@ -760,32 +760,54 @@ def test_lowerbound_size_cap_exit_code(runner, tmp_path):
 # ── output paths that cannot be written ──────────────────────────────
 
 
+# the calls that start each command's work, made to raise: an output path
+# must be refused before any of them runs
+WORK = {
+    "optimize": ["run_with_doubling"],
+    "generate": ["gen_selective"],
+    "evaluate": ["fixed_data_error", "worst_case_cell"],
+    "lowerbound": ["check_non_expanding", "best_S_bruteforce"],
+    "experiment": ["run_experiment"],
+}
+
+
 @pytest.mark.parametrize(
-    "command, target, reason",
+    "command, option, target, reason",
     [
-        ("optimize", "{tmp}", errno.EISDIR),
-        ("generate", "{tmp}/nodir/s.json", errno.ENOENT),
-        ("evaluate", "{tmp}/nodir/r.csv", errno.ENOENT),
-        ("lowerbound", "{tmp}/nodir/c.json", errno.ENOENT),
-        ("experiment", "{tmp}/half.json", errno.EEXIST),  # a file, not a directory
+        ("optimize", "--out", "{tmp}", errno.EISDIR),
+        ("optimize", "--trace", "{tmp}/nodir/t.csv", errno.ENOENT),
+        ("optimize", "--summary", "{tmp}", errno.EISDIR),
+        ("generate", "--out", "{tmp}/nodir/s.json", errno.ENOENT),
+        ("evaluate", "--out", "{tmp}/nodir/r.csv", errno.ENOENT),
+        ("lowerbound", "--out", "{tmp}/nodir/c.json", errno.ENOENT),
+        ("lowerbound", "--out", "{tmp}/half.json/c.json", errno.ENOTDIR),
+        ("experiment", "--out-dir", "{tmp}/half.json", errno.EEXIST),  # a file, not a directory
     ],
-    ids=["optimize-directory", "generate-no-parent", "evaluate-no-parent",
-         "lowerbound-no-parent", "experiment-file-as-out-dir"],
+    ids=["optimize-directory", "optimize-trace-no-parent", "optimize-summary-directory",
+         "generate-no-parent", "evaluate-no-parent", "lowerbound-no-parent",
+         "lowerbound-parent-is-a-file", "experiment-file-as-out-dir"],
 )
-def test_unwritable_output_path_is_usage_error(runner, tmp_path, command, target, reason):
+def test_unwritable_output_path_is_usage_error(runner, tmp_path, monkeypatch, command, option, target, reason):
+    def started(*args, **kwargs):
+        raise AssertionError(f"{command} started its work before checking {option}")
+
+    for name in WORK[command]:
+        monkeypatch.setattr(f"wcmean.cli.{name}", started)
     dist = str(half_split_file(tmp_path))
     target = target.format(tmp=tmp_path)
+    out = str(tmp_path / "out.json")
     args = {
-        "optimize": ["--dist", dist, "--regime", "l2", "--t-max", "4", "--out", target],
-        "generate": ["selective", "--out", target],
-        "evaluate": ["--dist", dist, "--baseline", "sample_mean", "--dataset", "constant",
-                     "--out", target],
-        "lowerbound": ["--dist", dist, "--subset", "0,1", "--out", target],
-        "experiment": ["importance", "--out-dir", target, *SMALL_EXP],
+        "optimize": ["--dist", dist, "--regime", "l2", "--t-max", "4", "--out", out],
+        "generate": ["selective"],
+        "evaluate": ["--dist", dist, "--baseline", "sample_mean", "--dataset", "constant"],
+        "lowerbound": ["--dist", dist, "--subset", "0,1"],
+        "experiment": ["importance", *SMALL_EXP],
     }[command]
-    result = runner.invoke(main, [command, *args])
+    result = runner.invoke(main, [command, *args, option, target])
     assert result.exit_code == 2, result.output
     assert f"error: cannot write {target}: {os.strerror(reason)}" in result.output
+    # no output was created or truncated on the way
+    assert [p.name for p in tmp_path.iterdir()] == ["half.json"]
 
 
 def test_version_flag(runner):

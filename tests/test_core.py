@@ -129,6 +129,22 @@ def test_dist_canonicalizes_a_shared_target_for_every_pair():
         SampleTargetDistribution(4, (IndexPair((0,), (1,)), IndexPair((0,), (4, 1)), IndexPair((0,), (4, 1))))
 
 
+def test_dist_stores_a_numpy_population_size_as_an_int(tmp_path):
+    pairs = (IndexPair((0, 1), (2,)),)
+    dist = SampleTargetDistribution(np.int64(3), pairs)
+    assert type(dist.n) is int and dist.n == 3
+    path = tmp_path / "dist.json"
+    save_distribution_file(dist, path)
+    assert load_distribution_file(path) == dist
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), "3"])
+def test_dist_refuses_a_non_integer_population_size(n):
+    # 2.5 was stored and failed later, inside sample_mask
+    with pytest.raises(ValueError, match="population size must be an integer"):
+        SampleTargetDistribution(n, (IndexPair((0, 1), (2,)),))
+
+
 def test_dist_canonicalizes_duplicates_and_order():
     # direct construction canonicalizes; strict rejection is the loader's job
     dist = make_dist(3, [([2, 0, 0], [1])])

@@ -24,6 +24,12 @@ The fixed set (3.5 s on a 2-core machine):
 ``--table-size`` digests the three tables at m = 2000, t_max = 1000 and seeds
 0 and 1 instead (18 s on the same machine).
 
+The fixed set prints a second line, ``distributions <sha256>``: a digest
+of the pairs and probabilities of every distribution it generates (the 10
+fitted, the two seeded tables' at m = 300 and the lower bound's), each also
+after ``save_distribution_file`` and ``load_distribution_file``.  So a change
+to how distributions are built or read shows even where no fit moves.
+
 Hashed: estimator arrays, every ``OgdTrace`` field but ``elapsed_ms`` (the
 attempt records included), table cells, estimators and provenance without
 ``runtime_s``, and the certificate with its adversary.  Floats are hashed by
@@ -45,10 +51,14 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+
+# the selective process of the fixed set's lower-bound certificate
+LOWER_BOUND = {"n": 18, "windows": (1, 2, 4, 8)}
 
 
 def feed(h, value) -> None:
@@ -100,8 +110,9 @@ def feed_table(h, result) -> None:
     feed(h, {k: v for k, v in result.provenance.items() if k != "runtime_s"})
 
 
-def fixed_set(h) -> Counter:
-    from wcmean import baselines, collectors, experiments, lowerbound, optimizer
+def fit_processes() -> list:
+    """(name, seed, distribution) per process the fixed set fits, in order."""
+    from wcmean import collectors, experiments
 
     processes = {
         "importance": lambda s: collectors.gen_importance(
@@ -110,14 +121,21 @@ def fixed_set(h) -> Counter:
             **experiments.SNOWBALL_PARAMS, m=150, seed=s)[0],
         "wide": lambda s: collectors.gen_importance(n=200, split=100, m=100, seed=s)[0],
     }
+    fits = [(name, seed, make(seed)) for name, make in processes.items() for seed in range(3)]
+    fits.append(("selective", 0, collectors.gen_selective(**experiments.SELECTIVE_PARAMS)))
+    return fits
+
+
+def fixed_set(h) -> Counter:
+    from wcmean import baselines, collectors, experiments, lowerbound, optimizer
+
+    *seeded, selective = fit_processes()
     runs = [
-        (name, seed, make(seed), cfg)
-        for name, make in processes.items()
-        for seed in range(3)
+        (name, seed, dist, cfg)
+        for name, seed, dist in seeded
         for cfg in ({"t_max": 60}, {"t_max": 30, "p_doublings_max": 1})
     ]
-    selective = collectors.gen_selective(**experiments.SELECTIVE_PARAMS)
-    runs.append(("selective", 0, selective, {"t_max": 60}))
+    runs.append((*selective, {"t_max": 60}))
     notes: Counter = Counter()
     for name, seed, dist, cfg in runs:
         for regime in ("l2", "linf"):
@@ -129,13 +147,32 @@ def fixed_set(h) -> Counter:
             notes[trace.notes[-1]] += 1
     for name in experiments.EXPERIMENTS:
         feed_table(h, experiments.run_experiment(name, seed=1, m=300, t_max=100))
-    lb = collectors.gen_selective(n=18, windows=(1, 2, 4, 8))
+    lb = collectors.gen_selective(**LOWER_BOUND)
     cert = lowerbound.best_S_bruteforce(lb)
     base = baselines.baseline_estimator("selective_prediction", lb)
     x, achieved = lowerbound.adversarial_values(
         lb, cert.subset, lowerbound.semilinear_callable(base, lb))
     feed(h, (cert, x.values, achieved))
     return notes
+
+
+def distributions(h) -> None:
+    """Hash the pairs and probabilities of every distribution the fixed set
+    generates, and of each one written and read back."""
+    from wcmean import collectors, core, experiments
+
+    dists = [dist for _, _, dist in fit_processes()]
+    dists += [
+        collectors.gen_importance(**experiments.IMPORTANCE_PARAMS, m=300, seed=1)[0],
+        collectors.gen_snowball(**experiments.SNOWBALL_PARAMS, m=300, seed=1)[0],
+        collectors.gen_selective(**LOWER_BOUND),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dist.json"
+        for dist in dists:
+            core.save_distribution_file(dist, path)
+            for d in (dist, core.load_distribution_file(path)):
+                feed(h, (d.n, d.pairs, d.probs))
 
 
 def table_size(h) -> None:
@@ -190,6 +227,10 @@ def main() -> None:
     if notes:
         print(f"fits by last note: {dict(sorted(notes.items()))}", file=sys.stderr)
     print(h.hexdigest())
+    if not (args.table_size or args.cli):
+        dist_hash = hashlib.sha256()
+        distributions(dist_hash)
+        print(f"distributions {dist_hash.hexdigest()}")
 
 
 if __name__ == "__main__":
